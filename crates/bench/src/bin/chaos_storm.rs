@@ -64,7 +64,7 @@ mod armed {
     use smx::{
         RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot, SmxDevice, SupervisorConfig,
     };
-    use smx_bench::{header, quick_mode, scaled};
+    use smx_bench::{header, percentile, quick_mode, scaled};
 
     const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
     const PAIR_LEN: usize = 64;
@@ -538,14 +538,6 @@ mod armed {
             stats.readmissions
         );
         stats
-    }
-
-    fn percentile(sorted: &[f64], p: f64) -> f64 {
-        if sorted.is_empty() {
-            return f64::NAN;
-        }
-        let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted.get(idx).copied().unwrap_or(f64::NAN)
     }
 
     /// Sharded fleet for the shard phases: two fault domains of two

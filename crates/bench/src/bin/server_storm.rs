@@ -32,7 +32,7 @@ use smx::prelude::*;
 use smx::server::proto::{read_frame, write_frame, Request, Response};
 use smx::server::tenant::{Priority, TenantPolicy};
 use smx::{RetryConfig, Server, ServerConfig, ServerHandle, SmxDevice};
-use smx_bench::{header, quick_mode, row};
+use smx_bench::{exponential_gap, header, percentile, quick_mode, row};
 
 const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
 const PAIR_LEN: usize = 64;
@@ -174,8 +174,7 @@ fn drive_tenant(
             sent.lock().unwrap().insert(id, Instant::now());
             write_frame(&mut sess.wr, &req.encode()).expect("storm write");
             // Exponential inter-arrival: open loop, no waiting on acks.
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let gap = -u.ln() / rate;
+            let gap = exponential_gap(&mut rng, rate);
             std::thread::sleep(Duration::from_secs_f64(gap.min(0.05)));
         }
         out = reader.join().expect("reader thread");
@@ -220,14 +219,6 @@ fn drive_slow_client(addr: std::net::SocketAddr, count: usize) -> TenantOutcome 
     }
     write_frame(&mut sess.wr, &Request::Bye.encode()).ok();
     out
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 struct LoadPoint {

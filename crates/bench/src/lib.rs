@@ -70,6 +70,20 @@ pub fn scaled(full: usize, quick: usize) -> usize {
     }
 }
 
+/// The `p`-quantile of an ascending-sorted sample, by nearest rank;
+/// `p` is clamped to `[0, 1]` and an empty sample gives `NaN`.
+#[must_use]
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    let idx = ((sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
+    sorted.get(idx).copied().unwrap_or(f64::NAN)
+}
+
+/// One exponential inter-arrival gap, in seconds, of a Poisson stream
+/// at `rate` events per second (open-loop load generation).
+pub fn exponential_gap(rng: &mut impl rand::Rng, rate: f64) -> f64 {
+    -rng.gen_range(f64::EPSILON..1.0).ln() / rate
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,5 +116,31 @@ mod tests {
             let mut none = None;
             csv_row(&mut none, &[&1, &2]); // must be a no-op
         }
+    }
+
+    #[test]
+    fn percentile_of_an_empty_sample_is_nan() {
+        assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn percentile_endpoints_and_clamping() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        assert_eq!(percentile(&sorted, 1.0), 5.0);
+        assert_eq!(percentile(&sorted, 1.5), 5.0, "p > 1 clamps to the maximum");
+        assert_eq!(percentile(&sorted, -0.5), 1.0, "p < 0 clamps to the minimum");
+    }
+
+    #[test]
+    fn exponential_gaps_are_positive_with_mean_one_over_rate() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let n = 20_000;
+        let gaps: Vec<f64> = (0..n).map(|_| exponential_gap(&mut rng, 100.0)).collect();
+        assert!(gaps.iter().all(|&g| g > 0.0 && g.is_finite()));
+        let mean = gaps.iter().sum::<f64>() / f64::from(n);
+        assert!((mean - 0.01).abs() < 0.001, "mean gap {mean}");
     }
 }

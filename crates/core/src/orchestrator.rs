@@ -362,7 +362,18 @@ impl SmxDevice {
     /// multi-worker pool with backpressure, deadlines, and the circuit
     /// breaker lives in [`crate::service::BatchExecutor`].
     pub fn align_batch(&mut self, pairs: &[(Sequence, Sequence)]) -> DeviceBatchReport {
-        crate::service::device_batch(self, pairs)
+        let mut alignments = Vec::with_capacity(pairs.len());
+        let mut failures = Vec::new();
+        for (index, (q, r)) in pairs.iter().enumerate() {
+            match self.align(q, r) {
+                Ok(a) => alignments.push(Some(a)),
+                Err(error) => {
+                    alignments.push(None);
+                    failures.push(BatchFailure { index, error });
+                }
+            }
+        }
+        DeviceBatchReport { alignments, failures, recovery: self.recovery_stats() }
     }
 }
 

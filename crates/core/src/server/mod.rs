@@ -2,10 +2,10 @@
 //!
 //! [`Server`] turns the batch-oriented resilience stack — device pool,
 //! per-device breakers, audit scoreboard, hedging, quarantine — into a
-//! long-running framed-TCP service. Every defense the batch executor has
-//! is reused through the same per-pair seam ([`crate::service`]); the
-//! server adds the concerns that only exist once the work arrives over a
-//! socket from parties that do not coordinate:
+//! long-running framed-TCP service. The pairs run on the same executor
+//! runtime (`runtime`) the batch executor starts, so every defense is
+//! reused as is; the front door adds the concerns that only exist once
+//! the work arrives over a socket from parties that do not coordinate:
 //!
 //! * **Admission control** — per-tenant token buckets and priority
 //!   classes in front of the bounded work queue. Every refusal is a
@@ -33,27 +33,30 @@
 //! runs — never *what* it computes.
 
 pub mod proto;
+pub(crate) mod runtime;
 pub mod session;
 pub mod tenant;
 
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smx_align_core::{AlignError, Alignment, Alphabet, Sequence};
+use smx_align_core::{AlignError, Alphabet, Sequence};
 use smx_coproc::control::CancelToken;
 
 use crate::orchestrator::SmxDevice;
-use crate::pool::{DevicePool, DeviceStats};
-use crate::service::{self, ExecutorConfig};
+use crate::pool::DeviceStats;
+use crate::service::{AdmissionPolicy, ExecutorConfig};
 
 use proto::{read_frame, write_frame, FailKind, ProtoError, RejectReason, Request, Response};
+use runtime::{
+    Completion, Job, Policy, Runtime, Shard, STATE_CRASHED, STATE_DRAINING, STATE_RUNNING,
+};
 use session::{Session, SessionStore};
 use tenant::{BrownoutConfig, BrownoutLevel, Priority, TenantCounters, TenantPolicy, TenantTable};
 
@@ -237,43 +240,6 @@ pub struct ShardSnapshot {
     pub max_queue_depth: usize,
 }
 
-const STATE_RUNNING: u8 = 0;
-const STATE_DRAINING: u8 = 1;
-const STATE_CRASHED: u8 = 2;
-
-const SHARD_LIVE: u8 = 0;
-const SHARD_DEGRADED: u8 = 1;
-const SHARD_RESTARTING: u8 = 2;
-const SHARD_QUARANTINED: u8 = 3;
-
-fn shard_state_name(state: u8) -> &'static str {
-    match state {
-        SHARD_LIVE => "live",
-        SHARD_DEGRADED => "degraded",
-        SHARD_RESTARTING => "restarting",
-        _ => "quarantined",
-    }
-}
-
-/// One admitted pair flowing to the workers.
-struct Job {
-    id: usize,
-    priority: Priority,
-    query: Sequence,
-    reference: Sequence,
-    /// Absolute deadline fixed at admission, plus the original budget in
-    /// ms (for the typed error when it expires in the queue).
-    deadline: Option<(Instant, u64)>,
-    reply: mpsc::Sender<WriterMsg>,
-}
-
-/// One pair's outcome flowing from a worker to its connection's writer.
-struct Completion {
-    id: usize,
-    result: Result<Alignment, AlignError>,
-    degraded: bool,
-}
-
 /// Everything the per-connection writer thread serializes to the socket.
 enum WriterMsg {
     /// A pre-built response (OK / REJECT / STATS / ERR / FAIL-at-admission).
@@ -286,6 +252,12 @@ enum WriterMsg {
     Bye,
 }
 
+impl From<Completion> for WriterMsg {
+    fn from(c: Completion) -> WriterMsg {
+        WriterMsg::Done(c)
+    }
+}
+
 /// Re-locks a mutex whose critical sections only mutate self-contained
 /// counter/registry state (queue depths, stats counters, tenant tables,
 /// join-handle lists). A panicking holder cannot leave these in a state
@@ -296,146 +268,6 @@ enum WriterMsg {
 /// [`Shared::sessions`]).
 fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Three-class strict-priority bounded queue. Admission never blocks —
-/// a full queue is a typed reject, so backpressure is always visible to
-/// the client instead of stalling its connection.
-struct ServerQueue {
-    cap: usize,
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-}
-
-struct QueueInner {
-    classes: [VecDeque<Job>; 3],
-    len: usize,
-    max_depth: usize,
-}
-
-impl ServerQueue {
-    fn new(cap: usize) -> ServerQueue {
-        ServerQueue {
-            cap,
-            inner: Mutex::new(QueueInner {
-                classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                len: 0,
-                max_depth: 0,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut inner = relock(&self.inner);
-        if inner.len >= self.cap {
-            return Err(job);
-        }
-        let class = job.priority.class();
-        // LINT: allow(panic) Priority::class() returns 0..3 and classes has exactly 3 entries
-        inner.classes[class].push_back(job);
-        inner.len += 1;
-        inner.max_depth = inner.max_depth.max(inner.len);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Highest-priority job right now, without waiting (the steal and
-    /// drain-sweep entry point).
-    fn try_pop(&self) -> Option<Job> {
-        let mut inner = relock(&self.inner);
-        let job = inner.classes.iter_mut().find_map(VecDeque::pop_front)?;
-        inner.len -= 1;
-        Some(job)
-    }
-
-    /// Highest-priority job, waiting up to `timeout` for one to arrive.
-    /// Bounded so the shard worker loop keeps beating its heartbeat and
-    /// checking for steals, drain, and its own retirement.
-    fn pop_within(&self, timeout: Duration) -> Option<Job> {
-        let mut inner = relock(&self.inner);
-        if let Some(job) = inner.classes.iter_mut().find_map(VecDeque::pop_front) {
-            inner.len -= 1;
-            return Some(job);
-        }
-        let (mut inner, _) = self
-            .ready
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let job = inner.classes.iter_mut().find_map(VecDeque::pop_front)?;
-        inner.len -= 1;
-        Some(job)
-    }
-
-    fn depth(&self) -> usize {
-        relock(&self.inner).len
-    }
-
-    fn max_depth(&self) -> usize {
-        relock(&self.inner).max_depth
-    }
-
-    fn wake_all(&self) {
-        self.ready.notify_all();
-    }
-}
-
-/// One executor shard: a disjoint slice of the worker threads and the
-/// device pool behind its own bounded queue. Every field a sibling
-/// shard or the supervisor reads is atomic — a shard that wedges with
-/// its own queue lock held cannot stall anyone sampling its state.
-struct Shard {
-    id: usize,
-    queue: ServerQueue,
-    pool: DevicePool,
-    /// Worker threads this shard runs (the respawn count).
-    jobs: usize,
-    /// Lifecycle: `SHARD_LIVE` → `SHARD_DEGRADED` → `SHARD_RESTARTING`
-    /// → back to live, or `SHARD_QUARANTINED` once the restart budget
-    /// is spent.
-    state: AtomicU8,
-    /// Bumped on restart; workers exit when their spawn generation is
-    /// no longer current, so a wedged worker that finally wakes cannot
-    /// rejoin a shard that moved on without it.
-    generation: AtomicU64,
-    /// Bumped once per worker loop iteration — including idle
-    /// iterations, where the bounded queue wait wakes the worker every
-    /// 20 ms — so a frozen heartbeat alone is the supervisor's wedge
-    /// signal.
-    heartbeat: AtomicU64,
-    dispatched: AtomicU64,
-    completed: AtomicU64,
-    /// Jobs popped but not yet finished (progress accounting).
-    inflight: AtomicUsize,
-    stolen_from: AtomicU64,
-    stolen_by: AtomicU64,
-    restarts: AtomicU64,
-    failovers: AtomicU64,
-    last_failover_ms: AtomicU64,
-    /// Current-generation worker handles (swapped on restart).
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Abandoned prior-generation workers, joined at wind-down: they
-    /// exit on their own once whatever wedged them releases.
-    retired: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl Shard {
-    fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            id: self.id,
-            state: shard_state_name(self.state.load(Ordering::SeqCst)),
-            dispatched: self.dispatched.load(Ordering::SeqCst),
-            completed: self.completed.load(Ordering::SeqCst),
-            stolen_from: self.stolen_from.load(Ordering::SeqCst),
-            stolen_by: self.stolen_by.load(Ordering::SeqCst),
-            restarts: self.restarts.load(Ordering::SeqCst),
-            failovers: self.failovers.load(Ordering::SeqCst),
-            last_failover_ms: self.last_failover_ms.load(Ordering::SeqCst),
-            queue_depth: self.queue.depth(),
-            max_queue_depth: self.queue.max_depth(),
-        }
-    }
 }
 
 /// The dispatcher's home-shard hash: FNV-1a over `(tenant, pair id)`,
@@ -454,82 +286,47 @@ fn home_shard(tenant: &str, id: usize, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// State shared by the accept loop, workers, supervisor, and
-/// connection threads.
+/// State shared by the accept loop and the connection threads: the
+/// front door's own registries on top of the executor runtime.
 struct Shared {
     cfg: ServerConfig,
     alphabet: Alphabet,
-    shards: Vec<Shard>,
-    state: AtomicU8,
-    /// Batch-wide token: cancelled on crash so in-flight pairs abort at
-    /// the next tile boundary instead of finishing into the void.
-    token: CancelToken,
-    /// Fault-disabled template device: cloned for respawned workers'
-    /// software path and the drain sweep.
-    template: Mutex<SmxDevice>,
+    rt: Arc<Runtime<WriterMsg>>,
     tenants: Mutex<TenantTable>,
     sessions: Mutex<SessionStore>,
-    counters: Mutex<ServerCounters>,
-    /// Monotone pair sequence for deterministic audit sampling.
+    /// Monotone pair sequence for deterministic audit sampling, assigned
+    /// at admission.
     pair_seq: AtomicUsize,
     conns: AtomicUsize,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Worst brownout level observed, as its rank (for `/stats`).
-    brownout_peak: AtomicUsize,
 }
 
 impl Shared {
-    fn state(&self) -> u8 {
-        self.state.load(Ordering::SeqCst)
-    }
-
-    /// Queue occupancy over *live* capacity: a quarantined shard's
-    /// queue slots no longer exist as far as admission is concerned,
-    /// so losing a shard makes the survivors brown out earlier instead
-    /// of the fleet pretending it still has the dead capacity.
-    fn live_occupancy(&self) -> (usize, usize) {
-        let mut depth = 0;
-        let mut cap = 0;
-        for s in &self.shards {
-            if s.state.load(Ordering::SeqCst) != SHARD_QUARANTINED {
-                depth += s.queue.depth();
-                cap += s.queue.cap;
-            }
-        }
-        (depth, cap)
-    }
-
-    fn brownout(&self) -> BrownoutLevel {
-        let (depth, cap) = self.live_occupancy();
-        let level = BrownoutLevel::from_occupancy(&self.cfg.brownout, depth, cap);
-        self.brownout_peak.fetch_max(level.rank(), Ordering::Relaxed);
-        level
-    }
-
     /// The `/stats` text: global counters, brownout, pool devices, and
     /// one line per tenant — everything an operator needs to see which
     /// rung of the degradation ladder the service is standing on.
     fn stats_text(&self) -> String {
         use std::fmt::Write as _;
-        let c = *relock(&self.counters);
-        let state = match self.state() {
+        let rt = &self.rt;
+        let c = *relock(&rt.counters);
+        let state = match self.rt.state() {
             STATE_RUNNING => "running",
             STATE_DRAINING => "draining",
             _ => "crashed",
         };
-        let level = self.brownout();
-        let peak = self.brownout_peak.load(Ordering::Relaxed);
+        let level = rt.brownout();
+        let peak = rt.brownout_peak.load(Ordering::Relaxed);
         let mut depth = 0;
         let mut cap = 0;
         let mut max_depth = 0;
-        for shard in &self.shards {
+        for shard in &rt.shards {
             depth += shard.queue.depth();
             cap += shard.queue.cap;
             max_depth = max_depth.max(shard.queue.max_depth());
         }
         let mut pool_counters = crate::pool::PoolCounters::default();
         let mut devices = Vec::new();
-        for shard in &self.shards {
+        for shard in &rt.shards {
             let (d, c) = shard.pool.snapshot();
             devices.extend(d);
             pool_counters.audits_run += c.audits_run;
@@ -565,7 +362,7 @@ impl Shared {
             pool_counters.hedges_launched,
             pool_counters.hedges_won
         );
-        for shard in &self.shards {
+        for shard in &rt.shards {
             let _ = writeln!(s, "shard {}: {}", shard.id, shard_line(&shard.snapshot()));
         }
         for (id, d) in devices.iter().enumerate() {
@@ -576,10 +373,6 @@ impl Shared {
                 writeln!(s, "tenant {name}: priority={} {}", t.priority, tenant_line(&t.counters));
         }
         s
-    }
-
-    fn bump<F: FnOnce(&mut ServerCounters)>(&self, f: F) {
-        f(&mut relock(&self.counters));
     }
 
     fn tenant_bump<F: FnOnce(&mut TenantCounters)>(&self, tenant: &str, f: F) {
@@ -660,59 +453,20 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the accept loop
-    /// and `cfg.exec.jobs` worker threads over a pool built from
-    /// `device`.
+    /// and an executor runtime of `cfg.exec.jobs` worker threads over a
+    /// pool built from `device`.
     ///
     /// # Errors
     ///
-    /// Invalid executor configuration (validated exactly as
-    /// [`crate::service::BatchExecutor::new`] does), pool construction
-    /// failures, and bind failures, all as typed [`AlignError`]s.
+    /// Invalid executor configuration ([`ExecutorConfig::validate`]),
+    /// bind failures, and pool construction failures, all as typed
+    /// [`AlignError`]s.
     pub fn bind(
         device: SmxDevice,
         cfg: ServerConfig,
         addr: &str,
     ) -> Result<ServerHandle, AlignError> {
-        // Reuse the executor's validation so serve and batch agree on
-        // what a legal configuration is.
-        let _ = service::BatchExecutor::new(device.clone(), cfg.exec.clone())?;
-        let plan = service::ShardPlan::split(&cfg.exec, cfg.shards)?;
-        // Each shard gets an equal slice of the queue budget (at least
-        // one slot), so total fleet capacity tracks `queue_cap`.
-        let shard_cap = cfg.exec.queue_cap.div_ceil(cfg.shards).max(1);
-        let shards = plan
-            .jobs
-            .iter()
-            .zip(plan.devices.iter().zip(plan.device_base.iter()))
-            .enumerate()
-            .map(|(s, (&jobs, (&devices, &device_base)))| {
-                Ok(Shard {
-                    id: s,
-                    queue: ServerQueue::new(shard_cap),
-                    pool: DevicePool::new_with_device_base(
-                        &device,
-                        devices,
-                        device_base,
-                        cfg.exec.breaker,
-                        cfg.exec.quarantine,
-                    )?,
-                    jobs,
-                    state: AtomicU8::new(SHARD_LIVE),
-                    generation: AtomicU64::new(0),
-                    heartbeat: AtomicU64::new(0),
-                    dispatched: AtomicU64::new(0),
-                    completed: AtomicU64::new(0),
-                    inflight: AtomicUsize::new(0),
-                    stolen_from: AtomicU64::new(0),
-                    stolen_by: AtomicU64::new(0),
-                    restarts: AtomicU64::new(0),
-                    failovers: AtomicU64::new(0),
-                    last_failover_ms: AtomicU64::new(0),
-                    workers: Mutex::new(Vec::new()),
-                    retired: Mutex::new(Vec::new()),
-                })
-            })
-            .collect::<Result<Vec<Shard>, AlignError>>()?;
+        cfg.exec.validate()?;
         let listener = TcpListener::bind(addr)
             .map_err(|e| AlignError::Internal(format!("bind {addr}: {e}")))?;
         let local =
@@ -724,54 +478,33 @@ impl Server {
             std::fs::create_dir_all(dir)
                 .map_err(|e| AlignError::Internal(format!("checkpoint dir: {e}")))?;
         }
-        let sessions = SessionStore::new(cfg.checkpoint_dir.clone(), cfg.resume_sessions);
-        let policy = cfg.policy;
-        let mut template = device.clone();
-        template.disable_fault_injection();
+        let policy = Policy {
+            shards: cfg.shards,
+            steal: cfg.steal,
+            brownout: Some(cfg.brownout),
+            retry: cfg.retry,
+            supervisor: Some(cfg.supervisor),
+        };
+        let rt = Runtime::start(&device, cfg.exec.clone(), policy, CancelToken::new())?;
         let shared = Arc::new(Shared {
             alphabet: device.config().alphabet(),
-            shards,
-            state: AtomicU8::new(STATE_RUNNING),
-            token: CancelToken::new(),
-            template: Mutex::new(template),
-            tenants: Mutex::new(TenantTable::new(policy)),
-            sessions: Mutex::new(sessions),
-            counters: Mutex::new(ServerCounters::default()),
+            rt,
+            tenants: Mutex::new(TenantTable::new(cfg.policy)),
+            sessions: Mutex::new(SessionStore::new(
+                cfg.checkpoint_dir.clone(),
+                cfg.resume_sessions,
+            )),
             pair_seq: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             conn_threads: Mutex::new(Vec::new()),
-            brownout_peak: AtomicUsize::new(0),
             cfg,
         });
-
-        for s in 0..shared.shards.len() {
-            spawn_shard_workers(&shared, s, 0);
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervisor_loop(&shared))
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
         };
-        Ok(ServerHandle { shared, addr: local, accept: Some(accept), supervisor: Some(supervisor) })
+        Ok(ServerHandle { shared, addr: local, accept: Some(accept) })
     }
-}
-
-/// Spawns one generation of workers for shard `s`, replacing the
-/// handle set. Each worker gets its own fault-disabled software
-/// device clone (the degraded/brownout path must never fault).
-fn spawn_shard_workers(shared: &Arc<Shared>, s: usize, generation: u64) {
-    let Some(shard) = shared.shards.get(s) else { return };
-    let handles = (0..shard.jobs)
-        .map(|_| {
-            let shared = Arc::clone(shared);
-            let mut sw = relock(&shared.template).clone();
-            std::thread::spawn(move || worker_loop(&shared, s, generation, &mut sw))
-        })
-        .collect();
-    *relock(&shard.workers) = handles;
 }
 
 /// A running server: its address, live stats, and the two ways down —
@@ -780,7 +513,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -800,7 +532,7 @@ impl ServerHandle {
     /// harnesses' view of failovers while the server runs).
     #[must_use]
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shared.shards.iter().map(Shard::snapshot).collect()
+        self.shared.rt.shards.iter().map(Shard::snapshot).collect()
     }
 
     /// Graceful drain: stop accepting, flush every in-flight and queued
@@ -814,10 +546,10 @@ impl ServerHandle {
             .into_iter()
             .map(|(name, t)| (name.to_string(), t.counters))
             .collect();
-        let mut totals = *relock(&shared.counters);
+        let mut totals = *relock(&shared.rt.counters);
         totals.max_queue_depth =
-            shared.shards.iter().map(|s| s.queue.max_depth()).max().unwrap_or(0);
-        let per_shard = shared.shards.iter().map(Shard::snapshot).collect();
+            shared.rt.shards.iter().map(|s| s.queue.max_depth()).max().unwrap_or(0);
+        let per_shard = self.shard_snapshots();
         DrainReport { per_tenant, totals, per_shard }
     }
 
@@ -827,40 +559,14 @@ impl ServerHandle {
     /// over the same checkpoint directory with resume enabled replays
     /// exactly the acked set.
     pub fn crash(mut self) {
-        self.shared.token.cancel();
+        self.shared.rt.token.cancel();
         self.wind_down(STATE_CRASHED);
     }
 
     fn wind_down(&mut self, state: u8) {
-        self.shared.state.store(state, Ordering::SeqCst);
-        for shard in &self.shared.shards {
-            shard.queue.wake_all();
-        }
+        self.shared.rt.stop(state);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        for shard in &self.shared.shards {
-            for w in std::mem::take(&mut *relock(&shard.workers)) {
-                let _ = w.join();
-            }
-            for w in std::mem::take(&mut *relock(&shard.retired)) {
-                let _ = w.join();
-            }
-        }
-        // Belt-and-braces drain sweep: if a restart/quarantine race left
-        // a job queued anywhere after every worker exited, flush it on
-        // the software baseline rather than strand its client. Crash
-        // skips this — a dead process flushes nothing.
-        if state == STATE_DRAINING {
-            let mut sw = relock(&self.shared.template).clone();
-            for shard in &self.shared.shards {
-                while let Some(job) = shard.queue.try_pop() {
-                    run_job(&self.shared, shard, job, &mut sw);
-                }
-            }
         }
         // Connection threads exit on their own once they observe the
         // state flip (bounded by their read/recv timeouts).
@@ -878,7 +584,7 @@ impl ServerHandle {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while shared.state() == STATE_RUNNING {
+    while shared.rt.state() == STATE_RUNNING {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
@@ -906,378 +612,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Steals the highest-priority queued job from the deepest sibling
-/// queue. `sweep` widens the victim set to every shard regardless of
-/// state — the drain path, where flushing beats affinity.
-fn steal_job<'a>(shared: &'a Shared, thief: &Shard, sweep: bool) -> Option<Job> {
-    let mut victim: Option<(&'a Shard, usize)> = None;
-    for shard in &shared.shards {
-        if shard.id == thief.id {
-            continue;
-        }
-        if !sweep && shard.state.load(Ordering::SeqCst) == SHARD_QUARANTINED {
-            continue;
-        }
-        let depth = shard.queue.depth();
-        if depth > 0 && victim.is_none_or(|(_, best)| depth > best) {
-            victim = Some((shard, depth));
-        }
-    }
-    let (victim, _) = victim?;
-    let job = victim.queue.try_pop()?;
-    victim.stolen_from.fetch_add(1, Ordering::SeqCst);
-    thief.stolen_by.fetch_add(1, Ordering::SeqCst);
-    Some(job)
-}
-
-/// One shard worker: beats the shard heartbeat, pops its own queue in
-/// priority order (stealing from overloaded siblings when idle), and
-/// exits when the server winds down or its spawn generation is retired
-/// by a shard restart.
-fn worker_loop(shared: &Shared, shard_id: usize, generation: u64, sw: &mut SmxDevice) {
-    let Some(shard) = shared.shards.get(shard_id) else { return };
-    loop {
-        if shard.generation.load(Ordering::SeqCst) != generation {
-            return;
-        }
-        match shared.state() {
-            STATE_CRASHED => return,
-            STATE_DRAINING => {
-                // Flush everything reachable — own queue first, then a
-                // fleet-wide sweep so a wedged sibling's queued pairs
-                // still make it out — and exit.
-                while let Some(job) =
-                    shard.queue.try_pop().or_else(|| steal_job(shared, shard, true))
-                {
-                    run_job(shared, shard, job, sw);
-                }
-                return;
-            }
-            _ => {}
-        }
-        // Failpoint `shard.heartbeat` (lane = shard id): an injected
-        // error swallows this beat — the worker idles without touching
-        // its queue or heartbeat, which is exactly what a wedged worker
-        // looks like to the supervisor. `delay` wedges by sleeping here
-        // (inside the registry), `kill` dies mid-beat for crash tests.
-        if smx_failpoint::hit_lane("shard.heartbeat", shard_id as u32).is_some() {
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        }
-        shard.heartbeat.fetch_add(1, Ordering::SeqCst);
-        let job = match shard.queue.pop_within(Duration::from_millis(20)) {
-            Some(job) => job,
-            None => {
-                if shared.cfg.steal {
-                    match steal_job(shared, shard, false) {
-                        Some(job) => job,
-                        None => continue,
-                    }
-                } else {
-                    continue;
-                }
-            }
-        };
-        run_job(shared, shard, job, sw);
-    }
-}
-
-/// Runs one admitted pair to completion on shard `shard_id`: deadline
-/// at dequeue, the brownout ladder, the same dispatch seam the batch
-/// executor uses — breaker, audit, hedge, quarantine and all — plus a
-/// bounded retry budget on top.
-fn run_job(shared: &Shared, shard: &Shard, job: Job, sw: &mut SmxDevice) {
-    shard.inflight.fetch_add(1, Ordering::SeqCst);
-    let level = shared.brownout();
-    // A pair that expired while queued must not burn device time.
-    if let Some((at, budget_ms)) = job.deadline {
-        if Instant::now() >= at {
-            finish(
-                shared,
-                &job,
-                Completion {
-                    id: job.id,
-                    result: Err(AlignError::DeadlineExceeded { budget_ms }),
-                    degraded: false,
-                },
-                None,
-                0,
-            );
-            shard.completed.fetch_add(1, Ordering::SeqCst);
-            shard.inflight.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-    }
-    let degraded = level >= BrownoutLevel::DegradingLow && job.priority == Priority::Low;
-    let mut cfg = shared.cfg.exec.clone();
-    if level >= BrownoutLevel::SheddingExtras {
-        // Shed the server's own luxuries before touching anyone's
-        // traffic: audits and hedges cost device/host time.
-        cfg.audit = None;
-        cfg.hedge = None;
-    }
-    let index = shared.pair_seq.fetch_add(1, Ordering::SeqCst);
-    let mut retries = 0u32;
-    let mut meta_route = None;
-    let result = loop {
-        let remaining = job.deadline.map(|(at, _)| at.saturating_duration_since(Instant::now()));
-        cfg.deadline = remaining;
-        let attempt = if degraded {
-            let token = match remaining {
-                Some(d) => shared.token.fork_with_deadline(d),
-                None => shared.token.clone(),
-            };
-            service::attempt_on_software(sw, &job.query, &job.reference, token)
-        } else {
-            let (r, meta) = service::run_pair(
-                &shard.pool,
-                sw,
-                index,
-                &job.query,
-                &job.reference,
-                &cfg,
-                &shared.token,
-            );
-            meta_route = Some(meta.route);
-            r
-        };
-        let retryable = attempt.as_ref().err().is_some_and(AlignError::is_recoverable_fault);
-        let expired = job.deadline.is_some_and(|(at, _)| Instant::now() >= at);
-        if retryable
-            && retries < shared.cfg.retry.attempts
-            && !expired
-            && shared.state() != STATE_CRASHED
-        {
-            let backoff = shared.cfg.retry.backoff * (retries + 1);
-            if let Some((at, budget_ms)) = job.deadline {
-                // Clip against the *remaining* deadline at this attempt,
-                // not just the first: if the backoff would sleep to (or
-                // past) the deadline, the retry is doomed before it
-                // starts — fail typed now instead of napping into a
-                // guaranteed deadline failure.
-                if backoff >= at.saturating_duration_since(Instant::now()) {
-                    break Err(AlignError::DeadlineExceeded { budget_ms });
-                }
-            }
-            retries += 1;
-            std::thread::sleep(backoff);
-            continue;
-        }
-        break attempt;
-    };
-    finish(shared, &job, Completion { id: job.id, result, degraded }, meta_route, retries);
-    shard.completed.fetch_add(1, Ordering::SeqCst);
-    shard.inflight.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// The supervisor: samples every shard's `(heartbeat, completed)`
-/// progress each `interval` and walks the containment ladder on any
-/// shard whose sample freezes — the chaos storm's stagnation
-/// criterion applied in-process. Exits when the server leaves the
-/// running state; restarts never race a drain.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    /// Per-shard stagnation tracker, private to the supervisor.
-    #[derive(Clone)]
-    struct Watch {
-        last: (u64, u64),
-        stale: u32,
-        wedged_since: Option<Instant>,
-    }
-    let cfg = shared.cfg.supervisor;
-    let mut watch = vec![
-        Watch { last: (u64::MAX, u64::MAX), stale: 0, wedged_since: None };
-        shared.shards.len()
-    ];
-    while shared.state() == STATE_RUNNING {
-        std::thread::sleep(cfg.interval);
-        for (s, (shard, w)) in shared.shards.iter().zip(watch.iter_mut()).enumerate() {
-            let state = shard.state.load(Ordering::SeqCst);
-            if state == SHARD_QUARANTINED || state == SHARD_RESTARTING {
-                continue;
-            }
-            let beat =
-                (shard.heartbeat.load(Ordering::SeqCst), shard.completed.load(Ordering::SeqCst));
-            // A healthy worker beats on every loop iteration — even an
-            // idle one wakes from its bounded queue wait (20 ms) and
-            // beats again — so a frozen (heartbeat, completed) sample is
-            // stagnation *regardless* of queue depth. Gating on pending
-            // work would let an idle wedged shard sit live forever,
-            // silently black-holing every pair later dispatched to it.
-            // The stale window (`interval` x `stale_intervals`, 400 ms
-            // by default) must comfortably exceed the 20 ms queue wait,
-            // or healthy idle shards read as frozen between beats.
-            if beat == w.last {
-                w.stale += 1;
-            } else {
-                w.stale = 0;
-                if state == SHARD_DEGRADED && beat != w.last {
-                    // The wedge cleared on its own (a transient stall):
-                    // lift the degradation without burning a restart.
-                    shard.state.store(SHARD_LIVE, Ordering::SeqCst);
-                    record_failover(shard, &mut w.wedged_since);
-                }
-            }
-            w.last = beat;
-            if w.stale >= cfg.stale_intervals {
-                w.stale = 0;
-                match state {
-                    SHARD_LIVE => {
-                        // Rung 1: steal-only. Dispatch routes around the
-                        // shard; siblings drain its queue.
-                        shard.state.store(SHARD_DEGRADED, Ordering::SeqCst);
-                        w.wedged_since = Some(Instant::now());
-                    }
-                    SHARD_DEGRADED => restart_shard(shared, s, &mut w.wedged_since),
-                    _ => {}
-                }
-            }
-        }
-    }
-}
-
-fn record_failover(shard: &Shard, wedged_since: &mut Option<Instant>) {
-    if let Some(t) = wedged_since.take() {
-        shard.failovers.fetch_add(1, Ordering::SeqCst);
-        shard
-            .last_failover_ms
-            .store(t.elapsed().as_millis().min(u128::from(u64::MAX)) as u64, Ordering::SeqCst);
-    }
-}
-
-/// Rung 2 of the ladder: drain-and-restart shard `s` in place —
-/// requeue-before-restart (queued pairs move to live siblings *before*
-/// the old workers are retired, so a kill at any point loses nothing
-/// that was acked), retire the wedged worker generation, respawn. Rung
-/// 3: once the restart budget is spent, quarantine the shard for good
-/// and re-advertise the lost capacity to admission.
-fn restart_shard(shared: &Arc<Shared>, s: usize, wedged_since: &mut Option<Instant>) {
-    let Some(shard) = shared.shards.get(s) else { return };
-    shard.state.store(SHARD_RESTARTING, Ordering::SeqCst);
-    let restarts = shard.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-
-    // Requeue-before-restart: every queued pair finds a live home (or
-    // comes straight back to this queue for the fresh generation).
-    redistribute_queue(shared, s);
-
-    // Failpoint `shard.restart` (lane = shard id): `error` fails this
-    // restart attempt — the shard falls back to degraded and the next
-    // stagnation round retries, marching toward quarantine; `kill`
-    // dies between requeue and respawn (the window requeue-before-
-    // restart exists to make safe).
-    let restart_failed = smx_failpoint::hit_lane("shard.restart", s as u32).is_some();
-
-    // Retire the wedged generation: whatever finally un-wedges those
-    // workers, the generation check sends them straight to exit.
-    shard.generation.fetch_add(1, Ordering::SeqCst);
-    let handles = std::mem::take(&mut *relock(&shard.workers));
-    let mut retired = relock(&shard.retired);
-    for h in handles {
-        if h.is_finished() {
-            let _ = h.join();
-        } else {
-            retired.push(h);
-        }
-    }
-    drop(retired);
-
-    if restart_failed || restarts > u64::from(shared.cfg.supervisor.max_restarts) {
-        if restarts > u64::from(shared.cfg.supervisor.max_restarts) {
-            shard.state.store(SHARD_QUARANTINED, Ordering::SeqCst);
-            // Anything the redistribute had to leave on this queue can
-            // never be served here again: fail it typed so the client
-            // can resubmit (it lands on a live shard next time).
-            while let Some(job) = shard.queue.try_pop() {
-                let completion = Completion {
-                    id: job.id,
-                    result: Err(AlignError::Internal(format!(
-                        "shard {s} quarantined; resubmit the pair"
-                    ))),
-                    degraded: false,
-                };
-                finish(shared, &job, completion, None, 0);
-            }
-        } else {
-            shard.state.store(SHARD_DEGRADED, Ordering::SeqCst);
-        }
-        return;
-    }
-    let generation = shard.generation.load(Ordering::SeqCst);
-    spawn_shard_workers(shared, s, generation);
-    shard.state.store(SHARD_LIVE, Ordering::SeqCst);
-    record_failover(shard, wedged_since);
-}
-
-/// Moves every queued pair off shard `s` onto live siblings, spilling
-/// back onto `s`'s own (just-emptied) queue when no sibling has room.
-fn redistribute_queue(shared: &Shared, s: usize) {
-    let Some(source) = shared.shards.get(s) else { return };
-    let mut jobs = Vec::new();
-    while let Some(job) = source.queue.try_pop() {
-        jobs.push(job);
-    }
-    'jobs: for mut job in jobs {
-        for (t, shard) in shared.shards.iter().enumerate() {
-            if t == s || shard.state.load(Ordering::SeqCst) != SHARD_LIVE {
-                continue;
-            }
-            match shard.queue.try_push(job) {
-                Ok(()) => continue 'jobs,
-                Err(back) => job = back,
-            }
-        }
-        // No live sibling had room: back onto our own queue, which we
-        // just emptied, so this cannot fail for more jobs than fit.
-        if let Err(job) = source.queue.try_push(job) {
-            let completion = Completion {
-                id: job.id,
-                result: Err(AlignError::Internal(format!(
-                    "shard {s} restart could not requeue the pair; resubmit"
-                ))),
-                degraded: false,
-            };
-            finish(shared, &job, completion, None, 0);
-        }
-    }
-}
-
-/// Books a completion into the global counters and hands it to the
-/// connection's writer (which does the durable ack).
-fn finish(
-    shared: &Shared,
-    job: &Job,
-    completion: Completion,
-    route: Option<service::Route>,
-    retries: u32,
-) {
-    shared.bump(|c| {
-        c.retries += u64::from(retries);
-        if completion.degraded {
-            c.degraded_software += 1;
-            c.software_pairs += 1;
-        }
-        match route {
-            Some(service::Route::Software) => c.software_pairs += 1,
-            Some(_) => c.device_pairs += 1,
-            None => {}
-        }
-        match &completion.result {
-            Ok(_) => c.completed += 1,
-            Err(AlignError::DeadlineExceeded { .. }) => {
-                c.failed += 1;
-                c.deadline_exceeded += 1;
-            }
-            Err(AlignError::Cancelled) => {
-                c.failed += 1;
-                c.cancelled += 1;
-            }
-            Err(_) => c.failed += 1,
-        }
-    });
-    // A send failure means the connection is gone; the pair's outcome is
-    // simply unacked (and therefore recomputable on resume).
-    let _ = job.reply.send(WriterMsg::Done(completion));
-}
-
 /// Per-connection reader: the protocol state machine and the admission
 /// ladder. All socket *writes* go through the writer thread so frames
 /// never interleave.
@@ -1302,7 +636,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if shared.state() != STATE_RUNNING {
+                if shared.rt.state() != STATE_RUNNING {
                     return;
                 }
             }
@@ -1381,7 +715,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                match shared.state() {
+                match shared.rt.state() {
                     STATE_RUNNING => continue,
                     STATE_DRAINING => break, // flush + DONE below
                     _ => {
@@ -1457,7 +791,7 @@ fn admit(
     outstanding: &Arc<AtomicUsize>,
 ) {
     let reject = |reason: RejectReason, retry_after_ms: u64| {
-        shared.bump(|c| c.rejected += 1);
+        relock(&shared.rt.counters).rejected += 1;
         shared.tenant_bump(tenant, |c| match reason {
             RejectReason::RateLimit => c.rejected_rate += 1,
             RejectReason::QueueFull => c.rejected_queue += 1,
@@ -1467,7 +801,7 @@ fn admit(
         });
         let _ = tx.send(WriterMsg::Frame(Response::Reject { id, reason, retry_after_ms }));
     };
-    if shared.state() != STATE_RUNNING {
+    if shared.rt.state() != STATE_RUNNING {
         reject(RejectReason::Draining, 1000);
         return;
     }
@@ -1489,7 +823,7 @@ fn admit(
         reject(RejectReason::Overloaded, 50);
         return;
     }
-    let level = shared.brownout();
+    let level = shared.rt.brownout();
     if level >= BrownoutLevel::RefusingLow && priority == Priority::Low {
         reject(RejectReason::Brownout, 200);
         return;
@@ -1512,6 +846,7 @@ fn admit(
     };
     let job = Job {
         id,
+        seq: shared.pair_seq.fetch_add(1, Ordering::SeqCst),
         priority,
         query: q,
         reference: r,
@@ -1521,32 +856,15 @@ fn admit(
     // Count the pair as outstanding *before* it becomes visible to the
     // workers: a fast completion must never decrement past zero.
     outstanding.fetch_add(1, Ordering::SeqCst);
-    let n = shared.shards.len();
-    let home = home_shard(tenant, id, n);
+    let home = home_shard(tenant, id, shared.rt.shards.len());
     // Failpoint `shard.dispatch` (lane = home shard): an injected error
     // fails the home-shard route, forcing the spill path — the same
     // thing a just-degraded home looks like to the dispatcher.
     let home_down = smx_failpoint::hit_lane("shard.dispatch", home as u32).is_some();
-    let mut job = Some(job);
-    for offset in 0..n {
-        let t = (home + offset) % n;
-        if offset == 0 && home_down {
-            continue;
-        }
-        let Some(shard) = shared.shards.get(t) else { continue };
-        if shard.state.load(Ordering::SeqCst) != SHARD_LIVE {
-            continue;
-        }
-        // LINT: allow(panic) job is refilled on every Err(back) below, so it is Some here
-        match shard.queue.try_push(job.take().unwrap()) {
-            Ok(()) => {
-                shard.dispatched.fetch_add(1, Ordering::SeqCst);
-                shared.bump(|c| c.admitted += 1);
-                shared.tenant_bump(tenant, |c| c.admitted += 1);
-                return;
-            }
-            Err(back) => job = Some(back),
-        }
+    if shared.rt.dispatch(home, home_down, AdmissionPolicy::Shed, job).is_ok() {
+        relock(&shared.rt.counters).admitted += 1;
+        shared.tenant_bump(tenant, |c| c.admitted += 1);
+        return;
     }
     // Every live shard was full (or none is live): typed backpressure.
     outstanding.fetch_sub(1, Ordering::SeqCst);
@@ -1576,7 +894,7 @@ fn writer_loop(
     let mut local = (0u64, 0u64, 0u64, 0u64); // completed, failed, rejected, resumed
     let mut byeing = false;
     loop {
-        if shared.state() == STATE_CRASHED {
+        if shared.rt.state() == STATE_CRASHED {
             return; // no further acks, exactly like a dead process
         }
         if byeing && outstanding.load(Ordering::SeqCst) == 0 {
@@ -1619,7 +937,7 @@ fn writer_loop(
                         resumed: true,
                     };
                     local.3 += 1;
-                    shared.bump(|c| c.resumed += 1);
+                    relock(&shared.rt.counters).resumed += 1;
                     shared.tenant_bump(tenant, |c| c.resumed += 1);
                     if write_frame(&mut out, &frame.encode()).is_err() {
                         kill_socket(&out);
@@ -1760,6 +1078,9 @@ impl Client {
 
 #[cfg(test)]
 mod tests {
+    use super::runtime::{
+        redistribute_queue, restart_shard, steal_job, SHARD_DEGRADED, SHARD_LIVE, SHARD_QUARANTINED,
+    };
     use super::*;
     use smx_align_core::AlignmentConfig;
     use std::collections::HashMap;
@@ -2022,7 +1343,7 @@ mod tests {
         let h = server(ServerConfig::default());
         let shared = Arc::clone(&h.shared);
         let (tx, rx) = mpsc::channel();
-        shared.state.store(STATE_DRAINING, Ordering::SeqCst);
+        shared.rt.state.store(STATE_DRAINING, Ordering::SeqCst);
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
         admit(
             &shared,
@@ -2042,7 +1363,7 @@ mod tests {
             }
             _ => panic!("expected a draining reject"),
         }
-        shared.state.store(STATE_RUNNING, Ordering::SeqCst);
+        shared.rt.state.store(STATE_RUNNING, Ordering::SeqCst);
         h.drain();
     }
 
@@ -2132,7 +1453,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let shared = Arc::clone(&h.shared);
-        shared.shards[0].state.store(SHARD_DEGRADED, Ordering::SeqCst);
+        shared.rt.shards[0].state.store(SHARD_DEGRADED, Ordering::SeqCst);
         // A pair whose home is the degraded shard spills to its sibling.
         let id = (0..64).find(|&id| home_shard("t", id, 2) == 0).unwrap();
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
@@ -2156,55 +1477,54 @@ mod tests {
             }
             _ => panic!("expected the spilled pair to complete"),
         }
-        assert_eq!(shared.shards[0].dispatched.load(Ordering::SeqCst), 0, "no new dispatch");
-        assert_eq!(shared.shards[1].dispatched.load(Ordering::SeqCst), 1, "sibling serves it");
+        assert_eq!(shared.rt.shards[0].dispatched.load(Ordering::SeqCst), 0, "no new dispatch");
+        assert_eq!(shared.rt.shards[1].dispatched.load(Ordering::SeqCst), 1, "sibling serves it");
         // Steal-only rung: a pair already queued on the degraded shard
         // is still drained by the sibling's workers. Retire shard 0's
         // worker generation first (the realistic shape — a degraded
         // shard is degraded *because* its workers stopped moving), so
         // only a steal can serve the queued pair.
-        shared.shards[0].generation.fetch_add(1, Ordering::SeqCst);
-        shared.shards[0].queue.wake_all();
-        for handle in std::mem::take(&mut *relock(&shared.shards[0].workers)) {
+        shared.rt.shards[0].generation.fetch_add(1, Ordering::SeqCst);
+        for handle in std::mem::take(&mut *relock(&shared.rt.shards[0].workers)) {
             handle.join().unwrap();
         }
         let (tx, rx) = mpsc::channel();
         let job = Job {
             id: 99,
+            seq: 99,
             priority: Priority::Normal,
             query: Sequence::from_text(Alphabet::Dna2, "ACGTACGT").unwrap(),
             reference: Sequence::from_text(Alphabet::Dna2, "ACGTACGA").unwrap(),
             deadline: None,
             reply: tx,
         };
-        shared.shards[0].queue.try_push(job).unwrap_or_else(|_| panic!("queue has room"));
+        shared.rt.shards[0].queue.try_push(job).unwrap_or_else(|_| panic!("queue has room"));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             WriterMsg::Done(completion) => assert!(completion.result.is_ok()),
             _ => panic!("expected the stolen pair to complete"),
         }
-        assert!(shared.shards[0].stolen_from.load(Ordering::SeqCst) >= 1);
-        assert!(shared.shards[1].stolen_by.load(Ordering::SeqCst) >= 1);
-        shared.shards[0].state.store(SHARD_LIVE, Ordering::SeqCst);
+        assert!(shared.rt.shards[0].stolen_from.load(Ordering::SeqCst) >= 1);
+        assert!(shared.rt.shards[1].stolen_by.load(Ordering::SeqCst) >= 1);
+        shared.rt.shards[0].state.store(SHARD_LIVE, Ordering::SeqCst);
         h.drain();
     }
 
     /// Stops every shard worker so a test can manipulate the queues
     /// without the fleet racing it, leaving the handle still drainable.
+    /// Idle workers notice the state flip within one bounded queue wait.
     fn park_workers(shared: &Arc<Shared>) {
-        shared.state.store(STATE_CRASHED, Ordering::SeqCst);
-        for shard in &shared.shards {
-            shard.queue.wake_all();
-        }
-        for shard in &shared.shards {
+        shared.rt.state.store(STATE_CRASHED, Ordering::SeqCst);
+        for shard in &shared.rt.shards {
             for handle in std::mem::take(&mut *relock(&shard.workers)) {
                 handle.join().unwrap();
             }
         }
     }
 
-    fn parked_job(id: usize, tx: &mpsc::Sender<WriterMsg>) -> Job {
+    fn parked_job(id: usize, tx: &mpsc::Sender<WriterMsg>) -> Job<WriterMsg> {
         Job {
             id,
+            seq: id,
             priority: Priority::Normal,
             query: Sequence::from_text(Alphabet::Dna2, "ACGT").unwrap(),
             reference: Sequence::from_text(Alphabet::Dna2, "ACGA").unwrap(),
@@ -2226,7 +1546,7 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         const K: usize = 24;
         for id in 0..K {
-            shared.shards[0]
+            shared.rt.shards[0]
                 .queue
                 .try_push(parked_job(id, &tx))
                 .unwrap_or_else(|_| panic!("job {id} must fit the shard queue"));
@@ -2240,22 +1560,22 @@ mod tests {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 gate.wait_for(1);
-                redistribute_queue(&shared, 0);
+                redistribute_queue(&shared.rt, 0);
             })
         };
         let mut stolen = Vec::new();
         gate.arrive(1);
         while !restarter.is_finished() {
-            if let Some(job) = steal_job(&shared, &shared.shards[1], false) {
+            if let Some(job) = steal_job(&shared.rt, &shared.rt.shards[1], false) {
                 stolen.push(job.id);
             }
         }
         restarter.join().unwrap();
-        while let Some(job) = steal_job(&shared, &shared.shards[1], false) {
+        while let Some(job) = steal_job(&shared.rt, &shared.rt.shards[1], false) {
             stolen.push(job.id);
         }
         let mut seen = stolen;
-        for shard in &shared.shards {
+        for shard in &shared.rt.shards {
             while let Some(job) = shard.queue.try_pop() {
                 seen.push(job.id);
             }
@@ -2276,19 +1596,19 @@ mod tests {
         park_workers(&shared);
         // No live sibling: the requeue sweep has nowhere to move the
         // jobs, so they come back to shard 0 and meet the quarantine.
-        shared.shards[1].state.store(SHARD_DEGRADED, Ordering::SeqCst);
+        shared.rt.shards[1].state.store(SHARD_DEGRADED, Ordering::SeqCst);
         let (tx, rx) = mpsc::channel();
         for id in 0..3 {
-            shared.shards[0]
+            shared.rt.shards[0]
                 .queue
                 .try_push(parked_job(id, &tx))
                 .unwrap_or_else(|_| panic!("job {id} must fit the shard queue"));
         }
         let max = u64::from(shared.cfg.supervisor.max_restarts);
-        shared.shards[0].restarts.store(max, Ordering::SeqCst);
-        restart_shard(&shared, 0, &mut None);
-        assert_eq!(shared.shards[0].state.load(Ordering::SeqCst), SHARD_QUARANTINED);
-        assert_eq!(shared.shards[0].queue.depth(), 0, "nothing may rot on a dead queue");
+        shared.rt.shards[0].restarts.store(max, Ordering::SeqCst);
+        restart_shard(&shared.rt, 0, &mut None);
+        assert_eq!(shared.rt.shards[0].state.load(Ordering::SeqCst), SHARD_QUARANTINED);
+        assert_eq!(shared.rt.shards[0].queue.depth(), 0, "nothing may rot on a dead queue");
         for _ in 0..3 {
             match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
                 WriterMsg::Done(completion) => match completion.result {
@@ -2302,13 +1622,13 @@ mod tests {
         }
         // The lost capacity is re-advertised: occupancy (and therefore
         // brownout) is computed over live shards only.
-        shared.shards[1].state.store(SHARD_LIVE, Ordering::SeqCst);
-        let (_, live_cap) = shared.live_occupancy();
-        let total_cap: usize = shared.shards.iter().map(|s| s.queue.cap).sum();
-        assert_eq!(live_cap, shared.shards[1].queue.cap, "only live capacity counts");
+        shared.rt.shards[1].state.store(SHARD_LIVE, Ordering::SeqCst);
+        let (_, live_cap) = shared.rt.live_occupancy();
+        let total_cap: usize = shared.rt.shards.iter().map(|s| s.queue.cap).sum();
+        assert_eq!(live_cap, shared.rt.shards[1].queue.cap, "only live capacity counts");
         assert!(live_cap < total_cap, "quarantined capacity must not dilute occupancy");
         // Dispatch routes around the quarantined home shard.
-        shared.state.store(STATE_RUNNING, Ordering::SeqCst);
+        shared.rt.state.store(STATE_RUNNING, Ordering::SeqCst);
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
         let id = (0..64).find(|&id| home_shard("t", id, 2) == 0).unwrap();
         let (tx, _rx2) = mpsc::channel();
@@ -2324,9 +1644,24 @@ mod tests {
             &std::collections::HashSet::new(),
             &Arc::new(AtomicUsize::new(0)),
         );
-        assert_eq!(shared.shards[0].dispatched.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.shards[1].dispatched.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.rt.shards[0].dispatched.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.rt.shards[1].dispatched.load(Ordering::SeqCst), 1);
         h.crash();
+    }
+
+    #[test]
+    fn drain_does_not_wait_out_the_supervisor_interval() {
+        let h = server(ServerConfig {
+            supervisor: SupervisorConfig {
+                interval: Duration::from_secs(10),
+                ..SupervisorConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let t0 = Instant::now();
+        h.drain();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "drain slept through the supervisor: {took:?}");
     }
 
     #[test]

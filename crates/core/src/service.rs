@@ -1,14 +1,16 @@
 //! Resilient batch-alignment service layer (DESIGN.md §5).
 //!
-//! [`BatchExecutor`] runs a batch of pairs through a pool of
-//! [`SmxDevice`] workers fed from a bounded work queue with
-//! backpressure: submitters either block until a slot frees or shed the
-//! pair, per the [`AdmissionPolicy`]. Each pair runs under a cooperative
-//! cancellation token with an optional wall-clock deadline, checked at
-//! tile boundaries inside the coprocessor. A circuit [`Breaker`] tracks
-//! the fault rate over a sliding window of device outcomes and, when it
-//! trips, routes whole pairs to the core's software baseline until
-//! half-open probes show the device is healthy again.
+//! [`BatchExecutor`] runs a batch of pairs on the crate's one executor
+//! runtime (`server::runtime`): [`SmxDevice`] workers fed from a bounded
+//! work queue with backpressure, where submitters either block until a
+//! slot frees or shed the pair, per the [`AdmissionPolicy`]. This module
+//! keeps the per-pair seam every worker runs (`run_pair`). Each pair
+//! runs under a cooperative cancellation token with an optional
+//! wall-clock deadline, checked at tile boundaries inside the
+//! coprocessor. A circuit [`Breaker`] tracks the fault rate over a
+//! sliding window of device outcomes and, when it trips, routes whole
+//! pairs to the core's software baseline until half-open probes show
+//! the device is healthy again.
 //!
 //! Since PR 3 the executor supervises a whole *pool* of devices
 //! ([`crate::pool`], DESIGN.md §6): each pool slot has its own seeded
@@ -32,17 +34,19 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use smx_align_core::{AlignError, Alignment, Sequence};
 use smx_coproc::control::CancelToken;
 use smx_coproc::faults::RecoveryStats;
 
-use crate::orchestrator::{BatchFailure, DeviceBatchReport, SmxDevice};
+use crate::orchestrator::{BatchFailure, SmxDevice};
 use crate::pool::{
     AuditConfig, DevicePool, DeviceStats, Dispatch, HedgeConfig, OutcomeEvents, QuarantineConfig,
 };
+use crate::server::runtime::{Completion, Job, Policy, Runtime, STATE_DRAINING};
+use crate::server::tenant::Priority;
+use crate::server::RetryConfig;
 
 /// What a submitter does when the work queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -258,7 +262,7 @@ impl Breaker {
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Worker threads (each with its own device clone). `1` runs the
-    /// batch inline on the calling thread, deterministically.
+    /// batch on one worker, in input order, deterministically.
     pub jobs: usize,
     /// Bounded work-queue capacity (backpressure point).
     pub queue_cap: usize,
@@ -307,16 +311,79 @@ impl Default for ExecutorConfig {
     }
 }
 
+impl ExecutorConfig {
+    /// Checks the configuration, once, for the batch executor and the
+    /// server alike.
+    ///
+    /// # Errors
+    ///
+    /// Zero jobs or queue capacity, and out-of-range breaker, audit,
+    /// quarantine, or hedge tuning.
+    pub fn validate(&self) -> Result<(), AlignError> {
+        if self.jobs == 0 {
+            return Err(AlignError::Internal("executor needs at least one job".into()));
+        }
+        if self.queue_cap == 0 {
+            return Err(AlignError::Internal("queue capacity must be at least 1".into()));
+        }
+        if let Some(b) = &self.breaker {
+            if !(b.threshold > 0.0 && b.threshold <= 1.0) {
+                return Err(AlignError::Internal(format!(
+                    "breaker threshold {} outside (0, 1]",
+                    b.threshold
+                )));
+            }
+            if b.min_samples == 0 || b.window < b.min_samples {
+                return Err(AlignError::Internal(format!(
+                    "breaker window {} must be >= min_samples {} >= 1",
+                    b.window, b.min_samples
+                )));
+            }
+            if b.probes == 0 {
+                return Err(AlignError::Internal("breaker needs at least one probe".into()));
+            }
+        }
+        if let Some(a) = &self.audit {
+            if !(a.rate.is_finite() && (0.0..=1.0).contains(&a.rate)) {
+                return Err(AlignError::Internal(format!("audit rate {} outside [0, 1]", a.rate)));
+            }
+        }
+        if let Some(q) = &self.quarantine {
+            if !(q.alpha > 0.0 && q.alpha <= 1.0 && q.threshold > 0.0 && q.threshold <= 1.0) {
+                return Err(AlignError::Internal(format!(
+                    "quarantine alpha {} and threshold {} must lie in (0, 1]",
+                    q.alpha, q.threshold
+                )));
+            }
+            if q.canary_period == 0 || q.canary_probes == 0 {
+                return Err(AlignError::Internal(
+                    "quarantine needs a nonzero canary period and probe count".into(),
+                ));
+            }
+        }
+        if let Some(h) = &self.hedge {
+            if let crate::pool::HedgeTrigger::P95 { multiplier, .. } = h.trigger {
+                if !(multiplier.is_finite() && multiplier > 0.0) {
+                    return Err(AlignError::Internal(format!(
+                        "hedge p95 multiplier {multiplier} must be positive"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// How one executor configuration splits into N independent shards —
 /// the fault-domain partition the sharded server fronts (DESIGN.md §12).
 ///
 /// Each shard owns a disjoint slice of the worker threads and the device
 /// pool, so a wedged worker, poisoned lock, or sick device is contained
 /// to its shard instead of stalling the fleet. The split is computed
-/// once, up front, and validated the same way [`BatchExecutor::new`]
-/// validates the executor itself: a plan that would leave a shard with
-/// no worker or no device is a configuration error, not a runtime
-/// surprise.
+/// once, up front, and validated like the executor configuration
+/// itself ([`ExecutorConfig::validate`]): a plan that would leave a
+/// shard with no worker or no device is a configuration error, not a
+/// runtime surprise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Worker threads per shard, indexed by shard id.
@@ -487,7 +554,8 @@ impl ServiceBatchReport {
     }
 
     /// One-line-per-failure summary with the aggregate cause breakdown,
-    /// mirroring [`DeviceBatchReport::failure_summary`].
+    /// mirroring
+    /// [`crate::orchestrator::DeviceBatchReport::failure_summary`].
     #[must_use]
     pub fn failure_summary(&self) -> String {
         use std::fmt::Write as _;
@@ -550,60 +618,9 @@ impl BatchExecutor {
     ///
     /// # Errors
     ///
-    /// Rejects zero jobs, a zero-capacity queue, and malformed breaker
-    /// settings (threshold outside `(0, 1]`, window smaller than
-    /// `min_samples`, zero probes).
+    /// An invalid `cfg` ([`ExecutorConfig::validate`]).
     pub fn new(device: SmxDevice, cfg: ExecutorConfig) -> Result<BatchExecutor, AlignError> {
-        if cfg.jobs == 0 {
-            return Err(AlignError::Internal("executor needs at least one job".into()));
-        }
-        if cfg.queue_cap == 0 {
-            return Err(AlignError::Internal("queue capacity must be at least 1".into()));
-        }
-        if let Some(b) = &cfg.breaker {
-            if !(b.threshold > 0.0 && b.threshold <= 1.0) {
-                return Err(AlignError::Internal(format!(
-                    "breaker threshold {} outside (0, 1]",
-                    b.threshold
-                )));
-            }
-            if b.min_samples == 0 || b.window < b.min_samples {
-                return Err(AlignError::Internal(format!(
-                    "breaker window {} must be >= min_samples {} >= 1",
-                    b.window, b.min_samples
-                )));
-            }
-            if b.probes == 0 {
-                return Err(AlignError::Internal("breaker needs at least one probe".into()));
-            }
-        }
-        if let Some(a) = &cfg.audit {
-            if !(a.rate.is_finite() && (0.0..=1.0).contains(&a.rate)) {
-                return Err(AlignError::Internal(format!("audit rate {} outside [0, 1]", a.rate)));
-            }
-        }
-        if let Some(q) = &cfg.quarantine {
-            if !(q.alpha > 0.0 && q.alpha <= 1.0 && q.threshold > 0.0 && q.threshold <= 1.0) {
-                return Err(AlignError::Internal(format!(
-                    "quarantine alpha {} and threshold {} must lie in (0, 1]",
-                    q.alpha, q.threshold
-                )));
-            }
-            if q.canary_period == 0 || q.canary_probes == 0 {
-                return Err(AlignError::Internal(
-                    "quarantine needs a nonzero canary period and probe count".into(),
-                ));
-            }
-        }
-        if let Some(h) = &cfg.hedge {
-            if let crate::pool::HedgeTrigger::P95 { multiplier, .. } = h.trigger {
-                if !(multiplier.is_finite() && multiplier > 0.0) {
-                    return Err(AlignError::Internal(format!(
-                        "hedge p95 multiplier {multiplier} must be positive"
-                    )));
-                }
-            }
-        }
+        cfg.validate()?;
         Ok(BatchExecutor { device, cfg })
     }
 
@@ -619,7 +636,12 @@ impl BatchExecutor {
         self.run_with(pairs, RunOptions::default())
     }
 
-    /// Runs `pairs` under `opts`.
+    /// Runs `pairs` under `opts` as an in-process client of a one-shard
+    /// executor runtime (`server::runtime`) started for this
+    /// run. Each pair is submitted as a job whose audit-sample index is
+    /// its input index; completions are collected on the calling thread,
+    /// so `on_result` sees them in completion order. With `jobs = 1` the
+    /// single worker runs the pairs in input order.
     #[must_use]
     pub fn run_with(
         &self,
@@ -640,154 +662,136 @@ impl BatchExecutor {
         }
         let todo: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
 
-        let batch_token = opts.cancel.clone().unwrap_or_default();
-        let n_devices = if self.cfg.devices == 0 { self.cfg.jobs } else { self.cfg.devices };
-        let pool =
-            match DevicePool::new(&self.device, n_devices, self.cfg.breaker, self.cfg.quarantine) {
-                Ok(pool) => pool,
-                Err(e) => {
-                    // Pool construction failing (canary golden could not be
-                    // computed) fails the whole batch closed with the typed
-                    // error rather than panicking.
-                    for index in todo {
-                        outcomes[index] = Some(PairOutcome::Failed(e.clone()));
-                        stats.failed += 1;
-                    }
-                    let outcomes = outcomes
-                        .into_iter()
-                        // LINT: allow(panic) the shed loop above fills every remaining None slot
-                        .map(|o| o.expect("every pair has an outcome"))
-                        .collect();
-                    return ServiceBatchReport { outcomes, stats };
-                }
-            };
-
-        if self.cfg.jobs == 1 {
-            // Inline path: deterministic order, no queue, no shedding.
-            let mut sw = self.software_baseline();
-            for index in todo {
-                let (q, r) = &pairs[index];
-                let (result, meta) = run_pair(&pool, &mut sw, index, q, r, &self.cfg, &batch_token);
-                tally(&mut stats, &meta, &result);
-                if let (Ok(a), Some(cb)) = (&result, opts.on_result.as_mut()) {
-                    cb(index, a);
-                }
-                outcomes[index] = Some(match result {
-                    Ok(a) => PairOutcome::Aligned(a),
-                    Err(e) => PairOutcome::Failed(e),
-                });
-            }
-        } else {
-            let queue = JobQueue::new(self.cfg.queue_cap);
-            let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            std::thread::scope(|scope| {
-                for _ in 0..self.cfg.jobs {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let pool = &pool;
-                    let batch_token = batch_token.clone();
-                    let cfg = &self.cfg;
-                    let this = &self;
-                    scope.spawn(move || {
-                        let mut sw = this.software_baseline();
-                        while let Some(index) = queue.pop() {
-                            let (q, r) = &pairs[index];
-                            let (result, meta) =
-                                run_pair(pool, &mut sw, index, q, r, cfg, &batch_token);
-                            let _ = tx.send(WorkerMsg::Pair { index, result, meta });
-                        }
-                        let _ = tx.send(WorkerMsg::Done);
-                    });
-                }
-                drop(tx);
-
-                let mut dispatched = 0usize;
+        // A batch never browns out (a `Block` batch keeps its queue
+        // full), never retries, and runs no supervisor.
+        let policy = Policy {
+            shards: 1,
+            steal: false,
+            brownout: None,
+            retry: RetryConfig { attempts: 0, backoff: Duration::ZERO },
+            supervisor: None,
+        };
+        let token = opts.cancel.clone().unwrap_or_default();
+        let rt = match Runtime::start(&self.device, self.cfg.clone(), policy, token) {
+            Ok(rt) => rt,
+            Err(e) => {
+                // Pool construction failing (canary golden could not be
+                // computed) fails the whole batch closed with the typed
+                // error rather than panicking.
                 for index in todo {
-                    match self.cfg.admission {
-                        AdmissionPolicy::Block => {
-                            queue.push_blocking(index);
-                            dispatched += 1;
-                        }
-                        AdmissionPolicy::Shed => {
-                            if queue.try_push(index) {
-                                dispatched += 1;
-                            } else {
-                                outcomes[index] = Some(PairOutcome::Shed);
-                                stats.shed += 1;
-                            }
-                        }
-                    }
+                    outcomes[index] = Some(PairOutcome::Failed(e.clone()));
                 }
-                queue.close();
+                return finish_report(outcomes, stats);
+            }
+        };
 
-                let mut pairs_seen = 0usize;
-                let mut workers_done = 0usize;
-                while pairs_seen < dispatched || workers_done < self.cfg.jobs {
-                    // LINT: allow(panic) workers_done < jobs means at least one worker still holds a sender
-                    match rx.recv().expect("workers outlive the channel") {
-                        WorkerMsg::Pair { index, result, meta } => {
-                            pairs_seen += 1;
-                            tally(&mut stats, &meta, &result);
-                            if let (Ok(a), Some(cb)) = (&result, opts.on_result.as_mut()) {
-                                cb(index, a);
-                            }
-                            outcomes[index] = Some(match result {
-                                Ok(a) => PairOutcome::Aligned(a),
-                                Err(e) => PairOutcome::Failed(e),
-                            });
-                        }
-                        WorkerMsg::Done => workers_done += 1,
-                    }
-                }
-                stats.max_queue_depth = queue.max_depth();
-            });
+        let (tx, rx) = mpsc::channel::<Completion>();
+        for index in todo {
+            let Some((q, r)) = pairs.get(index) else { continue };
+            let job = Job {
+                id: index,
+                seq: index,
+                priority: Priority::Normal,
+                query: q.clone(),
+                reference: r.clone(),
+                deadline: None,
+                reply: tx.clone(),
+            };
+            if rt.dispatch(0, false, self.cfg.admission, job).is_err() {
+                outcomes[index] = Some(PairOutcome::Shed);
+                stats.shed += 1;
+            }
+            // Book what has finished so far, so the checkpoint writer
+            // behind `on_result` keeps pace with the run.
+            for c in rx.try_iter() {
+                record(c, &mut outcomes, &mut stats, &mut opts.on_result);
+            }
         }
+        // Every queued job holds a reply sender, so the channel closes
+        // once the last pair completes.
+        drop(tx);
+        for c in rx {
+            record(c, &mut outcomes, &mut stats, &mut opts.on_result);
+        }
+        rt.stop(STATE_DRAINING);
 
-        stats.completed =
-            outcomes.iter().flatten().filter(|o| matches!(o, PairOutcome::Aligned(_))).count()
-                as u64;
-        stats.failed =
-            outcomes.iter().flatten().filter(|o| matches!(o, PairOutcome::Failed(_))).count()
-                as u64;
-        let (per_device, counters, recovery) = pool.finish();
-        stats.recovery = recovery;
-        stats.audits_run = counters.audits_run;
-        stats.integrity_recomputed = counters.integrity_recomputed;
-        stats.hedges_launched = counters.hedges_launched;
-        stats.hedges_won = counters.hedges_won;
-        stats.integrity_violations = per_device.iter().map(|d| d.integrity_violations).sum();
-        stats.quarantines = per_device.iter().map(|d| d.quarantines).sum();
-        stats.readmissions = per_device.iter().map(|d| d.readmissions).sum();
-        stats.canary_runs = per_device.iter().map(|d| d.canary_runs).sum();
-        stats.canary_failures = per_device.iter().map(|d| d.canary_failures).sum();
-        stats.breaker = per_device.first().and_then(|d| d.breaker);
-        stats.per_device = per_device;
-        let outcomes =
-            // LINT: allow(panic) every dispatched index received a Pair message or was marked Shed above
-            outcomes.into_iter().map(|o| o.expect("every pair has an outcome")).collect();
-        ServiceBatchReport { outcomes, stats }
-    }
-
-    /// A worker-local clone of the template running the trusted host
-    /// path: fault injection disabled, so audits never apply to it and
-    /// its results are correct by construction.
-    fn software_baseline(&self) -> SmxDevice {
-        let mut dev = self.device.clone();
-        dev.disable_fault_injection();
-        dev
+        if let Some(shard) = rt.shards.first() {
+            stats.max_queue_depth = shard.queue.max_depth();
+            let (per_device, counters, recovery) = shard.pool.finish();
+            stats.recovery = recovery;
+            stats.audits_run = counters.audits_run;
+            stats.integrity_recomputed = counters.integrity_recomputed;
+            stats.hedges_launched = counters.hedges_launched;
+            stats.hedges_won = counters.hedges_won;
+            stats.integrity_violations = per_device.iter().map(|d| d.integrity_violations).sum();
+            stats.quarantines = per_device.iter().map(|d| d.quarantines).sum();
+            stats.readmissions = per_device.iter().map(|d| d.readmissions).sum();
+            stats.canary_runs = per_device.iter().map(|d| d.canary_runs).sum();
+            stats.canary_failures = per_device.iter().map(|d| d.canary_failures).sum();
+            stats.breaker = per_device.first().and_then(|d| d.breaker);
+            stats.per_device = per_device;
+        }
+        finish_report(outcomes, stats)
     }
 }
 
-/// Per-pair metadata flowing from workers to the collector.
+/// Books one completion: counters, the completion hook, and the
+/// pair's outcome slot.
+fn record(
+    c: Completion,
+    outcomes: &mut [Option<PairOutcome>],
+    stats: &mut ServiceStats,
+    on_result: &mut Option<ResultHook<'_>>,
+) {
+    match c.meta.map(|m| m.route) {
+        Some(Route::Device) => stats.device_pairs += 1,
+        Some(Route::Probe) => {
+            stats.device_pairs += 1;
+            stats.probe_pairs += 1;
+        }
+        Some(Route::Software) => stats.software_pairs += 1,
+        None => {}
+    }
+    if c.meta.is_some_and(|m| m.faulted) {
+        stats.faulted_pairs += 1;
+    }
+    match &c.result {
+        Ok(a) => {
+            if let Some(cb) = on_result.as_mut() {
+                cb(c.id, a);
+            }
+        }
+        Err(AlignError::DeadlineExceeded { .. }) => stats.deadline_exceeded += 1,
+        Err(AlignError::Cancelled) => stats.cancelled += 1,
+        Err(_) => {}
+    }
+    if let Some(slot) = outcomes.get_mut(c.id) {
+        *slot = Some(match c.result {
+            Ok(a) => PairOutcome::Aligned(a),
+            Err(e) => PairOutcome::Failed(e),
+        });
+    }
+}
+
+/// Counts the final outcomes into `stats`. A pair with no outcome lost
+/// its worker mid-run (a panic unwound past it) and fails typed.
+fn finish_report(
+    outcomes: Vec<Option<PairOutcome>>,
+    mut stats: ServiceStats,
+) -> ServiceBatchReport {
+    let lost = || PairOutcome::Failed(AlignError::Internal("the pair's worker exited".into()));
+    let outcomes: Vec<PairOutcome> = outcomes.into_iter().map(|o| o.unwrap_or_else(lost)).collect();
+    stats.completed =
+        outcomes.iter().filter(|o| matches!(o, PairOutcome::Aligned(_))).count() as u64;
+    stats.failed = outcomes.iter().filter(|o| matches!(o, PairOutcome::Failed(_))).count() as u64;
+    ServiceBatchReport { outcomes, stats }
+}
+
+/// Per-pair routing metadata, carried back in each completion.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PairMeta {
     pub(crate) route: Route,
     pub(crate) faulted: bool,
-}
-
-enum WorkerMsg {
-    Pair { index: usize, result: Result<Alignment, AlignError>, meta: PairMeta },
-    Done,
 }
 
 /// One attempt on pool device `id` under `token`. Returns the result
@@ -845,7 +849,7 @@ pub(crate) fn attempt_on_software(
 
 /// Forks a token carrying whatever remains of the pair's deadline, or a
 /// plain clone of the batch token when no deadline is configured.
-fn remaining_token(
+pub(crate) fn remaining_token(
     batch_token: &CancelToken,
     deadline: Option<Duration>,
     start: Instant,
@@ -992,127 +996,14 @@ fn audit_recovery(
     attempt_on_software(sw, q, r, remaining_token(batch_token, cfg.deadline, start))
 }
 
-fn tally(stats: &mut ServiceStats, meta: &PairMeta, result: &Result<Alignment, AlignError>) {
-    match meta.route {
-        Route::Device => stats.device_pairs += 1,
-        Route::Probe => {
-            stats.device_pairs += 1;
-            stats.probe_pairs += 1;
-        }
-        Route::Software => stats.software_pairs += 1,
-    }
-    if meta.faulted {
-        stats.faulted_pairs += 1;
-    }
-    match result {
-        Err(AlignError::DeadlineExceeded { .. }) => stats.deadline_exceeded += 1,
-        Err(AlignError::Cancelled) => stats.cancelled += 1,
-        _ => {}
-    }
-}
-
-/// Sequential fail-closed batch on one device: the engine behind
-/// [`SmxDevice::align_batch`]. Runs on the caller's device (stats
-/// accumulate there) with whatever token the caller installed.
-pub(crate) fn device_batch(
-    dev: &mut SmxDevice,
-    pairs: &[(Sequence, Sequence)],
-) -> DeviceBatchReport {
-    let mut alignments = Vec::with_capacity(pairs.len());
-    let mut failures = Vec::new();
-    for (index, (q, r)) in pairs.iter().enumerate() {
-        match dev.align(q, r) {
-            Ok(a) => alignments.push(Some(a)),
-            Err(error) => {
-                alignments.push(None);
-                failures.push(BatchFailure { index, error });
-            }
-        }
-    }
-    DeviceBatchReport { alignments, failures, recovery: dev.recovery_stats() }
-}
-
-/// Bounded MPMC work queue: `Mutex<VecDeque>` + two condvars, closing
-/// semantics for shutdown, and a depth high-water mark for the counters.
-#[derive(Debug)]
-struct JobQueue {
-    cap: usize,
-    inner: Mutex<QueueInner>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-#[derive(Debug)]
-struct QueueInner {
-    jobs: VecDeque<usize>,
-    closed: bool,
-    max_depth: usize,
-}
-
-impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
-        JobQueue {
-            cap,
-            inner: Mutex::new(QueueInner { jobs: VecDeque::new(), closed: false, max_depth: 0 }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a slot frees (the backpressure point).
-    fn push_blocking(&self, index: usize) {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        while inner.jobs.len() >= self.cap {
-            inner = self.not_full.wait(inner).expect("queue lock poisoned");
-        }
-        inner.jobs.push_back(index);
-        inner.max_depth = inner.max_depth.max(inner.jobs.len());
-        self.not_empty.notify_one();
-    }
-
-    /// Non-blocking push; `false` means the pair was shed.
-    fn try_push(&self, index: usize) -> bool {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        if inner.jobs.len() >= self.cap {
-            return false;
-        }
-        inner.jobs.push_back(index);
-        inner.max_depth = inner.max_depth.max(inner.jobs.len());
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocks for work; `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(index) = inner.jobs.pop_front() {
-                self.not_full.notify_one();
-                return Some(index);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("queue lock poisoned").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    fn max_depth(&self) -> usize {
-        self.inner.lock().expect("queue lock poisoned").max_depth
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::runtime::ShardQueue;
     use crate::testkit::{assert_all_aligned, assert_byte_identical, expect_aligned};
     use smx_align_core::AlignmentConfig;
     use smx_coproc::faults::{FaultPlan, RecoveryPolicy};
+    use std::sync::{Arc, Mutex};
 
     fn pairs(config: AlignmentConfig, count: usize, len: usize) -> Vec<(Sequence, Sequence)> {
         let card = config.alphabet().cardinality() as u32;
@@ -1746,13 +1637,25 @@ mod tests {
         assert_eq!(breaker.state(), BreakerState::Open);
         assert_eq!(breaker.route(), Route::Software);
 
-        let queue = JobQueue::new(1);
-        let gate = Gate::new();
-        let breaker = Mutex::new(breaker);
-        std::thread::scope(|scope| {
-            let worker = scope.spawn(|| {
+        let (tx, _rx) = mpsc::channel::<Completion>();
+        let pair = pairs(AlignmentConfig::DnaEdit, 1, 8).remove(0);
+        let job = |id: usize| Job {
+            id,
+            seq: id,
+            priority: Priority::Normal,
+            query: pair.0.clone(),
+            reference: pair.1.clone(),
+            deadline: None,
+            reply: tx.clone(),
+        };
+        let queue = Arc::new(ShardQueue::new(1));
+        let gate = Arc::new(Gate::new());
+        let breaker = Arc::new(Mutex::new(breaker));
+        let worker = {
+            let (queue, gate, breaker) = (queue.clone(), gate.clone(), breaker.clone());
+            std::thread::spawn(move || {
                 gate.wait_for(1); // the queue is full
-                let index = queue.pop().expect("job 0 is queued");
+                let index = queue.pop_within(Duration::from_secs(10)).expect("job 0 is queued").id;
                 assert_eq!(index, 0);
                 let route = breaker.lock().unwrap().route();
                 assert_eq!(route, Route::Probe, "cooldown expired: this pair is the probe");
@@ -1760,22 +1663,25 @@ mod tests {
                 gate.wait_for(3); // ...while the submitter sheds
                 breaker.lock().unwrap().record(route, false);
                 gate.arrive(4);
-            });
-            assert!(queue.try_push(0));
-            gate.arrive(1);
-            gate.wait_for(2);
-            // The probe is in flight. Refill the freed seat, then shed
-            // against the full queue while the breaker is mid-probe.
-            assert!(queue.try_push(1));
-            assert!(!queue.try_push(2), "the full queue sheds while the probe is in flight");
-            assert_eq!(breaker.lock().unwrap().state(), BreakerState::HalfOpen);
-            gate.arrive(3);
-            gate.wait_for(4);
-            worker.join().unwrap();
-        });
+            })
+        };
+        assert!(queue.try_push(job(0)).is_ok());
+        gate.arrive(1);
+        gate.wait_for(2);
+        // The probe is in flight. Refill the freed seat, then shed
+        // against the full queue while the breaker is mid-probe.
+        assert!(queue.try_push(job(1)).is_ok());
+        assert!(
+            queue.try_push(job(2)).is_err(),
+            "the full queue sheds while the probe is in flight"
+        );
+        assert_eq!(breaker.lock().unwrap().state(), BreakerState::HalfOpen);
+        gate.arrive(3);
+        gate.wait_for(4);
+        worker.join().unwrap();
         // The shed fed nothing into the breaker; the clean probe verdict
         // alone decided, and it closed.
-        let breaker = breaker.into_inner().unwrap();
+        let breaker = breaker.lock().unwrap();
         assert_eq!(breaker.state(), BreakerState::Closed);
         assert_eq!(
             breaker.transitions(),
@@ -1818,6 +1724,40 @@ mod tests {
                 "pair {i}: expected a typed deadline failure, got {outcome:?}"
             );
         }
+    }
+
+    /// A `Block` batch keeps its queue full, so the server's brownout
+    /// ladder would shed its audits. A batch never browns out (nor
+    /// retries, nor runs a supervisor): with every readout silently
+    /// corrupt, all 32 pairs are audited and recomputed, and the output
+    /// stays byte-identical.
+    #[test]
+    fn full_block_batch_audits_every_pair() {
+        let config = AlignmentConfig::DnaGap;
+        let batch = pairs(config, 32, 40);
+        let golden = clean_baseline(config, &batch);
+        let mut dev = SmxDevice::new(config, 2).unwrap();
+        dev.enable_fault_injection(
+            FaultPlan::new(5, 0.0).with_silent_rate(1.0),
+            RecoveryPolicy::default(),
+        );
+        let exec = BatchExecutor::new(
+            dev,
+            ExecutorConfig {
+                jobs: 2,
+                queue_cap: 2,
+                admission: AdmissionPolicy::Block,
+                audit: Some(AuditConfig::full()),
+                ..ExecutorConfig::default()
+            },
+        )
+        .unwrap();
+        let report = exec.run(&batch);
+        assert_all_aligned(&report);
+        assert_byte_identical(&report, &golden);
+        assert_eq!(report.stats.integrity_recomputed, 32, "every pair was audited");
+        assert_eq!(report.stats.audits_run, 64, "primary and retry audited per pair");
+        assert_eq!(report.stats.max_queue_depth, 2, "the queue ran full");
     }
 
     #[test]
