@@ -793,6 +793,10 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
         Ok(None) => {}
         Err(e) => return Err(CliError { code: EXIT_GENERIC, message: e.to_string() }),
     }
+    // Install the drain handler before the port is announced: a client
+    // can be served within a millisecond of the banner, and a SIGTERM
+    // that beat the handler would kill the process without a drain.
+    sig::install();
     let handle = Server::bind(dev, cfg, &addr).map_err(|e| e.to_string())?;
     // The storm harness and tests parse this line for the bound port, so
     // flush it before settling into the signal loop.
@@ -800,7 +804,6 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     use std::io::Write as _;
     std::io::stdout().flush().ok();
 
-    sig::install();
     while !sig::pending() {
         std::thread::sleep(Duration::from_millis(25));
     }

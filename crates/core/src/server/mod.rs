@@ -38,7 +38,7 @@ pub mod session;
 pub mod tenant;
 
 use std::io::{BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -471,9 +471,6 @@ impl Server {
             .map_err(|e| AlignError::Internal(format!("bind {addr}: {e}")))?;
         let local =
             listener.local_addr().map_err(|e| AlignError::Internal(format!("local addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| AlignError::Internal(format!("nonblocking listener: {e}")))?;
         if let Some(dir) = &cfg.checkpoint_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| AlignError::Internal(format!("checkpoint dir: {e}")))?;
@@ -501,7 +498,7 @@ impl Server {
         });
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            std::thread::spawn(move || accept_loop(listener, &shared))
         };
         Ok(ServerHandle { shared, addr: local, accept: Some(accept) })
     }
@@ -566,7 +563,16 @@ impl ServerHandle {
     fn wind_down(&mut self, state: u8) {
         self.shared.rt.stop(state);
         if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+            // The accept thread blocks in `accept()`; one loopback
+            // connect wakes it to see the state flip and exit. If the
+            // wake cannot connect and the thread is still blocked,
+            // detach it rather than hang the wind-down: it exits on the
+            // next connection it accepts.
+            let woke =
+                TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1)).is_ok();
+            if woke || accept.is_finished() {
+                let _ = accept.join();
+            }
         }
         // Connection threads exit on their own once they observe the
         // state flip (bounded by their read/recv timeouts).
@@ -583,11 +589,28 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while shared.rt.state() == STATE_RUNNING {
-        match listener.accept() {
+/// The address that reaches a listener bound to `bound` from this host:
+/// a wildcard bind is woken through the loopback of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept()` until a client arrives or wind-down wakes it
+/// with a loopback connect. Every accepted stream is checked against
+/// the runtime state first, so a stopped server takes no connection.
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        if shared.rt.state() != STATE_RUNNING {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 if shared.conns.load(Ordering::SeqCst) >= shared.cfg.max_conns {
                     let mut w = BufWriter::new(&stream);
                     let _ = write_frame(
@@ -602,11 +625,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     conn_loop(stream, &shared2);
                     shared2.conns.fetch_sub(1, Ordering::SeqCst);
                 });
-                relock(&shared.conn_threads).push(handle);
+                // Reap finished connections so the registry holds only
+                // live ones; wind-down joins whatever is left.
+                let mut threads = relock(&shared.conn_threads);
+                threads.retain(|h| !h.is_finished());
+                threads.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (EMFILE, ENFILE, ...) would fail again
+            // at once; the backoff keeps it from spinning hot.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -1662,6 +1688,152 @@ mod tests {
         h.drain();
         let took = t0.elapsed();
         assert!(took < Duration::from_secs(2), "drain slept through the supervisor: {took:?}");
+    }
+
+    /// Whether anything still listens on `addr`'s port over loopback.
+    fn listening(addr: SocketAddr) -> bool {
+        TcpStream::connect_timeout(&wake_addr(addr), Duration::from_secs(1)).is_ok()
+    }
+
+    #[test]
+    fn idle_drain_and_crash_wake_the_blocked_accept_promptly() {
+        for crash in [false, true] {
+            let h = server(ServerConfig::default());
+            let addr = h.addr();
+            let t0 = Instant::now();
+            if crash {
+                h.crash();
+            } else {
+                h.drain();
+            }
+            let took = t0.elapsed();
+            assert!(took < Duration::from_secs(2), "crash={crash}: wind-down took {took:?}");
+            // The accept thread was woken and joined, so the listener
+            // is closed: nothing is left blocked in accept().
+            assert!(!listening(addr), "crash={crash}: the listener outlived the wind-down");
+        }
+    }
+
+    #[test]
+    fn wildcard_bind_is_woken_through_loopback() {
+        let dev = SmxDevice::new(AlignmentConfig::DnaEdit, 4).unwrap();
+        let h = Server::bind(dev, ServerConfig::default(), "0.0.0.0:0").unwrap();
+        let addr = h.addr();
+        assert!(addr.ip().is_unspecified());
+        let mut c = Client::connect(wake_addr(addr)).unwrap();
+        hello(&mut c, "-", "t", Priority::Normal, 0);
+        c.send(&Request::Bye).unwrap();
+        assert!(matches!(c.recv().unwrap(), Some(Response::Done { .. })));
+        let t0 = Instant::now();
+        h.drain();
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        assert!(!listening(addr), "the wildcard accept thread was detached, not woken");
+    }
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_the_loopback_of_their_family() {
+        let cases = [
+            ("0.0.0.0:7", "127.0.0.1:7"),
+            ("[::]:7", "[::1]:7"),
+            ("127.0.0.1:7", "127.0.0.1:7"),
+            ("10.1.2.3:7", "10.1.2.3:7"),
+            ("[fe80::1]:7", "[fe80::1]:7"),
+        ];
+        for (bound, want) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), want.parse::<SocketAddr>().unwrap(), "{bound}");
+        }
+    }
+
+    #[test]
+    fn a_client_arriving_mid_wind_down_gets_eof_or_err_and_leaks_no_thread() {
+        let h = server(ServerConfig::default());
+        let addr = h.addr();
+        let shared = Arc::clone(&h.shared);
+        // A connected session keeps the wind-down busy until its reader
+        // notices the drain on its next read timeout.
+        let mut held = Client::connect(addr).unwrap();
+        hello(&mut held, "-", "held", Priority::Normal, 0);
+        let drainer = std::thread::spawn(move || h.drain());
+        while shared.rt.state() == STATE_RUNNING {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The listener may already be closed (connect refused); if it
+        // is not, the late client must be turned away, not left waiting.
+        if let Ok(mut late) = Client::connect(addr) {
+            late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            // The send may already hit a closed socket; only the answer
+            // (or its absence) matters.
+            let _ = late.send(&Request::Hello {
+                session: "-".into(),
+                tenant: "late".into(),
+                priority: Priority::Normal,
+                deadline_ms: 0,
+            });
+            match late.recv() {
+                Ok(None) | Ok(Some(Response::Err(_))) => {}
+                Err(ProtoError::Io(e)) => assert!(
+                    !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "the late client hung: {e}"
+                ),
+                other => panic!("expected EOF or ERR, got {other:?}"),
+            }
+        }
+        assert!(matches!(held.recv().unwrap(), Some(Response::Done { .. })));
+        let report = drainer.join().unwrap();
+        assert!(report.per_tenant.iter().all(|(t, _)| t != "late"), "the late client was admitted");
+        assert_eq!(shared.conns.load(Ordering::SeqCst), 0);
+        assert!(relock(&shared.conn_threads).is_empty(), "a connection thread leaked");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let h = server(ServerConfig::default());
+        let shared = Arc::clone(&h.shared);
+        for i in 0..32 {
+            let mut c = Client::connect(h.addr()).unwrap();
+            hello(&mut c, "-", "t", Priority::Normal, 0);
+            c.send(&Request::Bye).unwrap();
+            assert!(matches!(c.recv().unwrap(), Some(Response::Done { .. })), "cycle {i}");
+            let t0 = Instant::now();
+            while shared.conns.load(Ordering::SeqCst) > 0 && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Each accept reaps the threads that have finished, so only the
+        // last connection or two can still be registered.
+        let registered = relock(&shared.conn_threads).len();
+        assert!(registered <= 3, "{registered} handles kept after 32 closed connections");
+        h.drain();
+    }
+
+    #[test]
+    fn a_connection_over_max_conns_is_refused_typed_and_the_others_keep_working() {
+        let h = server(ServerConfig { max_conns: 1, ..ServerConfig::default() });
+        let mut first = Client::connect(h.addr()).unwrap();
+        hello(&mut first, "-", "t", Priority::Normal, 0);
+        // The over-limit client sends nothing: unread bytes at close
+        // would turn the server's FIN into a reset and hide the frame.
+        let mut over = Client::connect(h.addr()).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match over.recv().unwrap() {
+            Some(Response::Err(msg)) => {
+                assert!(msg.contains("connection capacity reached"), "{msg}");
+            }
+            other => panic!("expected a capacity ERR, got {other:?}"),
+        }
+        assert!(over.recv().unwrap().is_none(), "the refused connection is closed");
+        first
+            .send(&Request::Pair { id: 0, query: "ACGT".into(), reference: "ACGA".into() })
+            .unwrap();
+        assert!(matches!(first.recv().unwrap(), Some(Response::Result { id: 0, .. })));
+        first.send(&Request::Bye).unwrap();
+        assert!(matches!(first.recv().unwrap(), Some(Response::Done { completed: 1, .. })));
+        let report = h.drain();
+        assert_eq!(report.totals.completed, 1);
     }
 
     #[test]
