@@ -1,11 +1,18 @@
-//! Golden-model dynamic programming: full-matrix Needleman–Wunsch with
+//! Golden-model dynamic programming: Needleman–Wunsch with a 2-bit
 //! traceback, and a linear-memory score-only variant (paper §2.1, Eq. 1–2).
 //!
-//! These are deliberately simple, allocation-heavy reference
-//! implementations; every accelerated engine in the workspace is validated
-//! against them. The global traceback tie-break is **diagonal ≻ up
-//! (insert) ≻ left (delete)** and is shared by all engines so CIGARs are
-//! directly comparable.
+//! These are deliberately simple reference implementations; every
+//! accelerated engine in the workspace is validated against them. The
+//! global traceback tie-break is **diagonal ≻ up (insert) ≻ left
+//! (delete)** and is shared by all engines so CIGARs are directly
+//! comparable.
+//!
+//! [`align_codes`] never holds the score matrix: it keeps two rolling
+//! score rows and records, per cell, the move the traceback takes there
+//! in 2 bits, so an `m × n` alignment needs `(m+1)·⌈(n+1)/4⌉ + O(n)`
+//! bytes instead of `4·(m+1)·(n+1)` (the paper's §5 memory argument,
+//! applied to the golden model). The dense [`full_matrix`] remains as the
+//! matrix oracle the tiled engines' tests compare against.
 
 use crate::cigar::{Alignment, Cigar, Op};
 use crate::error::AlignError;
@@ -24,20 +31,6 @@ pub struct DpMatrix {
 }
 
 impl DpMatrix {
-    /// Builds a matrix from raw row-major data (used by engines that
-    /// reconstruct absolute values from deltas and then reuse
-    /// [`traceback`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols` or either dimension is zero.
-    #[must_use]
-    pub fn from_raw(rows: usize, cols: usize, data: Vec<i32>) -> DpMatrix {
-        assert!(rows > 0 && cols > 0, "matrix must be non-empty");
-        assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
-        DpMatrix { rows, cols, data }
-    }
-
     /// Number of rows (`query length + 1`).
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -74,34 +67,12 @@ impl DpMatrix {
 
 /// Computes the full DP matrix for `query` × `reference` codes.
 ///
-/// Complexity: `O(m·n)` time and space. Intended as a golden model and for
-/// small tiles; larger computations should use the engines built on it.
+/// Complexity: `O(m·n)` time and `4·(m+1)·(n+1)` bytes. This is the
+/// matrix oracle for engines that reconstruct absolute values (tile
+/// borders, differential encodings); alignments should use
+/// [`align_codes`], which produces the same result without the matrix.
 #[must_use]
 pub fn full_matrix(query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> DpMatrix {
-    full_matrix_checked(query, reference, scheme, &mut || Ok(()))
-        .expect("an infallible check cannot abort the DP")
-}
-
-/// Rows computed between cooperative `check` calls in
-/// [`full_matrix_checked`] — the host-side analogue of the coprocessor's
-/// tile-boundary granularity.
-const CHECK_INTERVAL_ROWS: usize = 64;
-
-/// [`full_matrix`] with a cooperative abort point every
-/// [`CHECK_INTERVAL_ROWS`] rows: `check`'s error (typically a
-/// cancellation or deadline) aborts the computation. This is what makes
-/// host-side recomputation honor the same deadline budget as the
-/// accelerated paths instead of running to completion regardless.
-///
-/// # Errors
-///
-/// Whatever `check` returns.
-pub fn full_matrix_checked(
-    query: &[u8],
-    reference: &[u8],
-    scheme: &ScoringScheme,
-    check: &mut dyn FnMut() -> Result<(), AlignError>,
-) -> Result<DpMatrix, AlignError> {
     let (m, n) = (query.len(), reference.len());
     let mut dp = DpMatrix { rows: m + 1, cols: n + 1, data: vec![0; (m + 1) * (n + 1)] };
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
@@ -115,9 +86,6 @@ pub fn full_matrix_checked(
         dp.set(0, j, (j as i32).saturating_mul(gd));
     }
     for i in 1..=m {
-        if i % CHECK_INTERVAL_ROWS == 0 {
-            check()?;
-        }
         for j in 1..=n {
             let diag =
                 dp.get(i - 1, j - 1).saturating_add(scheme.score(query[i - 1], reference[j - 1]));
@@ -126,7 +94,7 @@ pub fn full_matrix_checked(
             dp.set(i, j, diag.max(up).max(left));
         }
     }
-    Ok(dp)
+    dp
 }
 
 /// Computes only the optimal score, using `O(n)` memory.
@@ -178,41 +146,6 @@ pub fn last_row_best(row: &[i32]) -> (i32, usize) {
     (best, end)
 }
 
-/// Traces back through a full DP matrix, producing the optimal path.
-///
-/// Tie-break order: diagonal ≻ up (insert) ≻ left (delete).
-#[must_use]
-pub fn traceback(dp: &DpMatrix, query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> Cigar {
-    let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
-    let mut i = query.len();
-    let mut j = reference.len();
-    let mut cigar = Cigar::new();
-    while i > 0 || j > 0 {
-        let here = dp.get(i, j);
-        if i > 0
-            && j > 0
-            && here
-                == dp.get(i - 1, j - 1).saturating_add(scheme.score(query[i - 1], reference[j - 1]))
-        {
-            cigar.push(if query[i - 1] == reference[j - 1] { Op::Match } else { Op::Mismatch });
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && here == dp.get(i - 1, j).saturating_add(gi) {
-            cigar.push(Op::Insert);
-            i -= 1;
-        } else {
-            debug_assert!(
-                j > 0 && here == dp.get(i, j - 1).saturating_add(gd),
-                "broken traceback at ({i},{j})"
-            );
-            cigar.push(Op::Delete);
-            j -= 1;
-        }
-    }
-    cigar.reverse();
-    cigar
-}
-
 /// Aligns two sequences with the golden model, returning score + CIGAR.
 ///
 /// # Errors
@@ -236,14 +169,35 @@ pub fn align(
 /// Aligns raw code slices (no validation) with the golden model.
 #[must_use]
 pub fn align_codes(query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> Alignment {
-    let dp = full_matrix(query, reference, scheme);
-    let cigar = traceback(&dp, query, reference, scheme);
-    Alignment { score: dp.final_score(), cigar }
+    align_codes_checked(query, reference, scheme, &mut || Ok(()))
+        .expect("an infallible check cannot abort the DP")
 }
 
-/// [`align_codes`] with the cooperative abort point of
-/// [`full_matrix_checked`]. An aborted alignment returns `check`'s error
-/// and produces no partial result.
+/// Rows computed between cooperative `check` calls in
+/// [`align_codes_checked`] — the host-side analogue of the coprocessor's
+/// tile-boundary granularity.
+const CHECK_INTERVAL_ROWS: usize = 64;
+
+/// Traceback moves, numbered in tie-break order (diagonal ≻ up ≻ left).
+const DIAG: u8 = 0;
+const UP: u8 = 1;
+const LEFT: u8 = 2;
+/// A move-matrix byte holding [`LEFT`] in all four 2-bit lanes (row 0).
+const ALL_LEFT: u8 = LEFT * 0b0101_0101;
+
+/// [`align_codes`] with a cooperative abort point every
+/// [`CHECK_INTERVAL_ROWS`] rows: `check`'s error (typically a
+/// cancellation or deadline) aborts the computation and produces no
+/// partial result. This is what makes host-side recomputation honor the
+/// same deadline budget as the accelerated paths instead of running to
+/// completion regardless.
+///
+/// The fill keeps two rolling score rows and stores, for every cell, the
+/// first optimal predecessor in tie-break order as a 2-bit move, four
+/// per byte in row-aligned rows of `⌈(n+1)/4⌉` bytes. The traceback then
+/// follows the moves without rescoring; since each move is exactly the
+/// branch a rescoring traceback over [`full_matrix`] would take, score
+/// and CIGAR are identical to it.
 ///
 /// # Errors
 ///
@@ -254,9 +208,69 @@ pub fn align_codes_checked(
     scheme: &ScoringScheme,
     check: &mut dyn FnMut() -> Result<(), AlignError>,
 ) -> Result<Alignment, AlignError> {
-    let dp = full_matrix_checked(query, reference, scheme, check)?;
-    let cigar = traceback(&dp, query, reference, scheme);
-    Ok(Alignment { score: dp.final_score(), cigar })
+    let (m, n) = (query.len(), reference.len());
+    let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
+    let stride = (n + 1).div_ceil(4);
+    let mut moves = vec![0u8; (m + 1) * stride];
+    // Row 0 is all deletions (its `(0, 0)` lane is never read).
+    moves[..stride].fill(ALL_LEFT);
+    // Saturating arithmetic throughout, exactly as in `full_matrix`.
+    let mut prev: Vec<i32> = (0..=n as i32).map(|j| j.saturating_mul(gd)).collect();
+    let mut row = vec![0i32; n + 1];
+    for (i, (&q, out)) in query.iter().zip(moves.chunks_exact_mut(stride).skip(1)).enumerate() {
+        if (i + 1) % CHECK_INTERVAL_ROWS == 0 {
+            check()?;
+        }
+        row[0] = (i as i32 + 1).saturating_mul(gi);
+        // Column 0 is always an insertion. Moves collect in a register
+        // and are stored once per full byte.
+        let mut packed = UP;
+        let mut here = row[0];
+        let cells = reference.iter().zip(prev.windows(2)).zip(&mut row[1..]);
+        for (j, ((&r, above), cell)) in (1..).zip(cells) {
+            let diag = above[0].saturating_add(scheme.score(q, r));
+            let up = above[1].saturating_add(gi);
+            let left = here.saturating_add(gd);
+            here = diag.max(up).max(left);
+            *cell = here;
+            // DIAG if the diagonal attains the max, else UP if up does,
+            // else LEFT — computed without data-dependent branches.
+            let not_diag = here != diag;
+            let mv = u8::from(not_diag) + u8::from(not_diag & (here != up));
+            packed |= mv << (2 * (j % 4));
+            if j % 4 == 3 {
+                out[j / 4] = packed;
+                packed = 0;
+            }
+        }
+        if n % 4 != 3 {
+            out[n / 4] = packed;
+        }
+        std::mem::swap(&mut prev, &mut row);
+    }
+    let score = prev[n];
+
+    let mut cigar = Cigar::new();
+    let (mut i, mut j) = (m, n);
+    while i > 0 || j > 0 {
+        match (moves[i * stride + j / 4] >> (2 * (j % 4))) & 0b11 {
+            DIAG => {
+                cigar.push(if query[i - 1] == reference[j - 1] { Op::Match } else { Op::Mismatch });
+                i -= 1;
+                j -= 1;
+            }
+            UP => {
+                cigar.push(Op::Insert);
+                i -= 1;
+            }
+            _ => {
+                cigar.push(Op::Delete);
+                j -= 1;
+            }
+        }
+    }
+    cigar.reverse();
+    Ok(Alignment { score, cigar })
 }
 
 /// The edit distance between two code slices (a convenience built on the
@@ -271,6 +285,78 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::submat::SubstMatrix;
+    use proptest::prelude::*;
+
+    /// The identity oracle: the rescoring traceback through a dense
+    /// [`full_matrix`], taking the first predecessor (diagonal ≻ up ≻
+    /// left) whose score plus the step's cost reproduces the cell.
+    fn traceback(dp: &DpMatrix, query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> Cigar {
+        let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
+        let mut i = query.len();
+        let mut j = reference.len();
+        let mut cigar = Cigar::new();
+        while i > 0 || j > 0 {
+            let here = dp.get(i, j);
+            if i > 0
+                && j > 0
+                && here
+                    == dp
+                        .get(i - 1, j - 1)
+                        .saturating_add(scheme.score(query[i - 1], reference[j - 1]))
+            {
+                cigar.push(if query[i - 1] == reference[j - 1] { Op::Match } else { Op::Mismatch });
+                i -= 1;
+                j -= 1;
+            } else if i > 0 && here == dp.get(i - 1, j).saturating_add(gi) {
+                cigar.push(Op::Insert);
+                i -= 1;
+            } else {
+                assert!(
+                    j > 0 && here == dp.get(i, j - 1).saturating_add(gd),
+                    "broken traceback at ({i},{j})"
+                );
+                cigar.push(Op::Delete);
+                j -= 1;
+            }
+        }
+        cigar.reverse();
+        cigar
+    }
+
+    /// Asserts `align_codes` is byte-identical to the matrix oracle.
+    fn assert_matches_oracle(q: &[u8], r: &[u8], scheme: &ScoringScheme) {
+        let dp = full_matrix(q, r, scheme);
+        let a = align_codes(q, r, scheme);
+        assert_eq!(a.score, dp.final_score(), "score, {}x{} {scheme:?}", q.len(), r.len());
+        assert_eq!(
+            a.cigar,
+            traceback(&dp, q, r, scheme),
+            "CIGAR, {}x{} {scheme:?}",
+            q.len(),
+            r.len()
+        );
+    }
+
+    /// Edit, linear (symmetric and asymmetric) and BLOSUM schemes, plus
+    /// the extreme-penalty shapes whose border init and accumulation
+    /// chains saturate at `i32::MIN` / `i32::MAX`.
+    fn oracle_schemes() -> Vec<ScoringScheme> {
+        vec![
+            ScoringScheme::edit(),
+            ScoringScheme::linear(2, -4, -4).unwrap(),
+            ScoringScheme::linear_asym(1, -1, -2, -3).unwrap(),
+            ScoringScheme::matrix(SubstMatrix::blosum62(), -4).unwrap(),
+            ScoringScheme::linear(1, -1_000_000_000, -1_000_000_000).unwrap(),
+            ScoringScheme::linear_asym(i32::MAX, i32::MIN, -1, -1_000_000_000).unwrap(),
+        ]
+    }
+
+    /// Codes valid for `scheme`: the 26-letter protein range for
+    /// matrix schemes, a 4-letter DNA range otherwise (more ties).
+    fn codes(raw: &[u8], scheme: &ScoringScheme) -> Vec<u8> {
+        let k = if scheme.uses_matrix() { 26 } else { 4 };
+        raw.iter().map(|&c| c % k).collect()
+    }
 
     fn dna(s: &str) -> Sequence {
         Sequence::from_text(Alphabet::Dna2, s).unwrap()
@@ -407,9 +493,10 @@ mod tests {
         let row = last_row(&q, &r, &scheme);
         assert_eq!(row[r.len()], dp.final_score());
         // The traceback must still terminate and cover both sequences.
-        let cigar = traceback(&dp, &q, &r, &scheme);
-        assert_eq!(cigar.query_len() as usize, q.len());
-        assert_eq!(cigar.reference_len() as usize, r.len());
+        let a = align_codes(&q, &r, &scheme);
+        assert_eq!(a.score, dp.final_score());
+        assert_eq!(a.cigar.query_len(), q.len());
+        assert_eq!(a.cigar.reference_len(), r.len());
     }
 
     #[test]
@@ -448,5 +535,64 @@ mod tests {
         assert_eq!(dp.cols(), 2);
         let r = std::panic::catch_unwind(|| dp.get(2, 0));
         assert!(r.is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn align_codes_is_byte_identical_to_the_matrix_oracle(
+            q in proptest::collection::vec(0u8..26, 0..=300),
+            r in proptest::collection::vec(0u8..26, 0..=300),
+        ) {
+            for scheme in oracle_schemes() {
+                assert_matches_oracle(&codes(&q, &scheme), &codes(&r, &scheme), &scheme);
+            }
+        }
+    }
+
+    #[test]
+    fn every_packing_edge_and_empty_side_matches_the_oracle() {
+        // Every `(n+1) mod 4` (and `(m+1) mod 4`) residue, empty sides
+        // included, on small shapes and at the 300-symbol top of the
+        // proptest range.
+        let seq: Vec<u8> = (0..300u32).map(|k| (k * 7 % 11 + k / 13) as u8).collect();
+        let shapes = (0..=9).flat_map(|m| (0..=9).map(move |n| (m, n)));
+        for (m, n) in shapes.chain((296..=300).map(|n| (300 - n % 7, n))) {
+            for scheme in oracle_schemes() {
+                let q = codes(&seq[..m], &scheme);
+                let r = codes(&seq[seq.len() - n..], &scheme);
+                assert_matches_oracle(&q, &r, &scheme);
+            }
+        }
+    }
+
+    #[test]
+    fn align_codes_checked_polls_every_64_rows_and_returns_the_error_unchanged() {
+        let scheme = ScoringScheme::edit();
+        let r = vec![1u8; 9];
+        for m in [0, 1, 63, 64, 65, 127, 128, 200] {
+            let q = vec![0u8; m];
+            let mut calls = 0;
+            let a = align_codes_checked(&q, &r, &scheme, &mut || {
+                calls += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(calls, m / CHECK_INTERVAL_ROWS, "m = {m}");
+            assert_eq!(a, align_codes(&q, &r, &scheme));
+        }
+        let err = AlignError::DeadlineExceeded { budget_ms: 5 };
+        let q = vec![0u8; 300];
+        let mut calls = 0;
+        let got = align_codes_checked(&q, &r, &scheme, &mut || {
+            calls += 1;
+            if calls == 2 {
+                Err(err.clone())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(got, Err(err));
+        assert_eq!(calls, 2, "the DP stops at the first error");
     }
 }

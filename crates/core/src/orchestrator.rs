@@ -237,9 +237,7 @@ impl SmxDevice {
                 if let Some(s) = self.faults.as_mut() {
                     s.record_software_alignment();
                 }
-                let alignment = dp::align_codes(&q, &r, &self.scheme);
-                alignment.verify(&q, &r, &self.scheme)?;
-                Ok(alignment)
+                self.software_dp(&q, &r)
             }
             Err(e) => Err(e),
         }
@@ -278,8 +276,9 @@ impl SmxDevice {
     /// # Errors
     ///
     /// Same input validation as [`SmxDevice::align`]. An installed
-    /// cancellation token is honoured at entry only — the software kernel
-    /// has no tile boundaries to poll.
+    /// cancellation token is honoured at entry and then every 64 DP rows
+    /// (see [`SmxDevice::software_dp`]), so a cancelled or expired pair
+    /// fails typed instead of running the DP to completion.
     pub fn align_software(
         &mut self,
         query: &Sequence,
@@ -304,15 +303,21 @@ impl SmxDevice {
             alignment.verify(q, r, &self.scheme)?;
             return Ok(alignment);
         }
-        // With a token installed the host DP gets the same cooperative
-        // abort granularity as the coprocessor's tile boundaries, so a
-        // deadline caps software recomputation too (hedge backups, audit
-        // recomputes, degraded-mode service) instead of only the
-        // accelerated paths.
-        let alignment = match self.coproc.control() {
-            Some(token) => dp::align_codes_checked(q, r, &self.scheme, &mut || token.check())?,
-            None => dp::align_codes(q, r, &self.scheme),
-        };
+        self.software_dp(q, r)
+    }
+
+    /// The golden DP on the core, verified. With a token installed the
+    /// host DP gets the same cooperative abort granularity as the
+    /// coprocessor's tile boundaries (a check every 64 rows), so a
+    /// deadline caps software recomputation too (hedge backups, audit
+    /// recomputes, degraded-mode service, whole-alignment degradation
+    /// after exhausted tile recovery) instead of only the accelerated
+    /// paths.
+    fn software_dp(&self, q: &[u8], r: &[u8]) -> Result<Alignment, AlignError> {
+        let token = self.coproc.control();
+        let alignment = dp::align_codes_checked(q, r, &self.scheme, &mut || {
+            token.map_or(Ok(()), |t| t.check())
+        })?;
         alignment.verify(q, r, &self.scheme)?;
         Ok(alignment)
     }
@@ -708,6 +713,26 @@ mod tests {
         let stats = dev.recovery_stats();
         assert_eq!(stats.software_alignments, 1);
         assert!(!dev.take_fault_events().is_empty());
+    }
+
+    #[test]
+    fn degraded_recompute_honours_the_deadline() {
+        let config = AlignmentConfig::DnaGap;
+        // 4 kbp: the degraded full DP (16 M cells) takes well over 10x
+        // the 5 ms budget, while strict recovery gives up on the first
+        // faulted tile.
+        let (q, r) = seqs(config, 4000);
+        let mut dev = SmxDevice::new(config, 4).unwrap();
+        dev.enable_fault_injection(
+            FaultPlan::new(7, 1.0).with_persistence(1.0),
+            RecoveryPolicy::strict(),
+        );
+        dev.set_cancel_token(Some(
+            CancelToken::new().fork_with_deadline(std::time::Duration::from_millis(5)),
+        ));
+        let got = dev.align(&q, &r);
+        assert!(matches!(got, Err(AlignError::DeadlineExceeded { budget_ms: 5 })), "{got:?}");
+        assert_eq!(dev.recovery_stats().software_alignments, 1, "the pair reached degradation");
     }
 
     #[test]

@@ -4,8 +4,9 @@ use crate::metrics::AlgoOutcome;
 use smx_align_core::{dp, ScoringScheme};
 
 /// Cell-count threshold above which the functional alignment path is
-/// produced by the linear-memory Hirschberg recursion instead of a dense
-/// matrix (the reported *work profile* stays that of the full algorithm).
+/// produced by the linear-memory Hirschberg recursion instead of the
+/// golden DP, whose 2-bit move matrix is ~4 MB at this size (the reported
+/// *work profile* stays that of the full algorithm).
 const DENSE_LIMIT: u64 = 16_000_000;
 
 /// Runs the full-matrix algorithm.

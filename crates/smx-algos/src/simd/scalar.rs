@@ -5,9 +5,9 @@
 //! initialization — with two lockstep `u32` companions per cell that
 //! count matches and query-insertions along the winning path. The winner
 //! selection uses the golden traceback tie-break (diagonal ≻ up ≻ left),
-//! so the counts reconstruct exactly the path
-//! [`smx_align_core::dp::traceback`] would walk, without materializing a
-//! matrix.
+//! so the counts reconstruct exactly the path the golden
+//! [`smx_align_core::dp::align_codes`] traceback walks, without storing
+//! any per-cell state.
 //!
 //! Saturating arithmetic makes this kernel total: it is the fallback for
 //! schemes whose magnitudes fail the wrapping kernel's no-overflow bound.
