@@ -1,9 +1,8 @@
 //! **Chaos storm: seeded failpoint schedules against the full stack.**
 //!
-//! Peer of `server_storm`/`integrity_storm`, but the faults live in the
-//! *host* paths instead of the simulated device: checkpoint write/fsync,
-//! the framed-TCP codec, pool dispatch, the session ack (see DESIGN.md
-//! §10). Each run installs one seeded [`FailSchedule`], drives the full
+//! Peer of `server_storm`, but the faults live in the *host* paths
+//! instead of the simulated device: checkpoint write/fsync, the
+//! framed-TCP codec, pool dispatch, the session ack (see DESIGN.md §10). Each run installs one seeded [`FailSchedule`], drives the full
 //! serve→align→checkpoint→resume lifecycle through a reconnecting
 //! client, and asserts the standing invariants:
 //!
@@ -54,8 +53,7 @@ mod armed {
     use std::time::Duration;
 
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
+    use rand::SeedableRng;
     use smx::failpoint::{self, Action, FailSchedule};
     use smx::prelude::*;
     use smx::server::proto::{read_frame, write_frame, Request, Response};
@@ -64,10 +62,10 @@ mod armed {
     use smx::{
         RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot, SmxDevice, SupervisorConfig,
     };
-    use smx_bench::{header, percentile, quick_mode, scaled};
+    use smx_bench::{
+        header, percentile, quick_mode, scaled, storm_device, storm_pair, STORM_CONFIG,
+    };
 
-    const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
-    const PAIR_LEN: usize = 64;
     /// Rounds of submit→read a schedule run may take before the harness
     /// declares it stuck (every schedule's rules are hit-limited, so a
     /// healthy stack always converges long before this).
@@ -114,14 +112,6 @@ mod armed {
         Watchdog { _tx: tx }
     }
 
-    fn storm_device() -> SmxDevice {
-        let mut dev = must(SmxDevice::new(CONFIG, 2), "device");
-        // Device-level faults stay ON underneath the host-path chaos:
-        // the two fault planes must compose without breaking identity.
-        dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
-        dev
-    }
-
     fn chaos_server(dir: &std::path::Path, resume: bool) -> ServerHandle {
         let cfg = ServerConfig {
             exec: ExecutorConfig {
@@ -143,24 +133,15 @@ mod armed {
             resume_sessions: resume,
             ..ServerConfig::default()
         };
-        must(Server::bind(storm_device(), cfg, "127.0.0.1:0"), "bind")
-    }
-
-    fn make_pair(rng: &mut StdRng, id: usize) -> Request {
-        const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
-        let query: String = (0..PAIR_LEN).map(|_| BASES[rng.gen_range(0..4usize)]).collect();
-        let mut reference = query.clone();
-        let i = rng.gen_range(0..PAIR_LEN);
-        reference.replace_range(i..=i, "T");
-        Request::Pair { id, query, reference }
+        must(Server::bind(must(storm_device(), "device"), cfg, "127.0.0.1:0"), "bind")
     }
 
     /// The shared workload every schedule runs, and its fault-free
     /// golden outcome (computed on a clean device, no fault plan).
     fn build_workload(pairs: usize) -> (Vec<Request>, Vec<(i32, String)>) {
         let mut rng = StdRng::seed_from_u64(7);
-        let workload: Vec<Request> = (0..pairs).map(|id| make_pair(&mut rng, id)).collect();
-        let mut clean = must(SmxDevice::new(CONFIG, 2), "reference device");
+        let workload: Vec<Request> = (0..pairs).map(|id| storm_pair(&mut rng, id)).collect();
+        let mut clean = must(SmxDevice::new(STORM_CONFIG, 2), "reference device");
         let mut reference = Vec::with_capacity(pairs);
         for req in &workload {
             let Request::Pair { query, reference: r, .. } = req else { continue };
@@ -473,7 +454,7 @@ mod armed {
         ));
         let exec = must(
             BatchExecutor::new(
-                storm_device(),
+                must(storm_device(), "device"),
                 ExecutorConfig {
                     jobs: 2,
                     queue_cap: 32,
@@ -489,7 +470,7 @@ mod armed {
         let mut rng = StdRng::seed_from_u64(11);
         let pairs: Vec<(Sequence, Sequence)> = (0..count)
             .map(|id| {
-                let Request::Pair { query, reference, .. } = make_pair(&mut rng, id) else {
+                let Request::Pair { query, reference, .. } = storm_pair(&mut rng, id) else {
                     return must(Err::<(Sequence, Sequence), &str>("not a pair"), "workload");
                 };
                 (
@@ -561,7 +542,7 @@ mod armed {
             supervisor,
             ..ServerConfig::default()
         };
-        must(Server::bind(storm_device(), cfg, "127.0.0.1:0"), "bind sharded")
+        must(Server::bind(must(storm_device(), "device"), cfg, "127.0.0.1:0"), "bind sharded")
     }
 
     fn fast_supervisor(max_restarts: u32) -> SupervisorConfig {
@@ -1052,7 +1033,7 @@ mod armed {
             (0..scaled(2, 1) as u64).map(|i| seed_base ^ 0xbeef ^ i).collect();
 
         header(&format!(
-            "chaos storm: {CONFIG}, {pairs} pairs/run, {seeds} seeded schedules (base \
+            "chaos storm: {STORM_CONFIG}, {pairs} pairs/run, {seeds} seeded schedules (base \
              {seed_base}), device faults on underneath"
         ));
         println!("replay any seed with: SMX_CHAOS_SEED={seed_base} ... or a single schedule via");

@@ -26,24 +26,15 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
+use rand::SeedableRng;
 use smx::prelude::*;
 use smx::server::proto::{read_frame, write_frame, Request, Response};
 use smx::server::tenant::{Priority, TenantPolicy};
-use smx::{RetryConfig, Server, ServerConfig, ServerHandle, SmxDevice};
-use smx_bench::{exponential_gap, header, percentile, quick_mode, row};
-
-const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
-const PAIR_LEN: usize = 64;
-
-fn storm_device() -> SmxDevice {
-    let mut dev = SmxDevice::new(CONFIG, 2).expect("device");
-    // Fault injection stays ON for the whole storm: transient tile
-    // faults ride through retry/recovery, never to the client.
-    dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
-    dev
-}
+use smx::{RetryConfig, Server, ServerConfig, ServerHandle};
+use smx_bench::{
+    exponential_gap, header, percentile, quick_mode, row, storm_device, storm_pair, STORM_CONFIG,
+    STORM_PAIR_LEN,
+};
 
 fn storm_server(
     checkpoint: Option<std::path::PathBuf>,
@@ -69,7 +60,7 @@ fn storm_server(
         shards,
         ..ServerConfig::default()
     };
-    Server::bind(storm_device(), cfg, "127.0.0.1:0").expect("bind")
+    Server::bind(storm_device().expect("device"), cfg, "127.0.0.1:0").expect("bind")
 }
 
 /// One framed-TCP session split into a writer half and a reader half so
@@ -102,15 +93,6 @@ fn open_session(
         other => panic!("expected OK, got {other:?}"),
     }
     Session { wr, rd }
-}
-
-fn make_pair(rng: &mut StdRng, id: usize) -> Request {
-    const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
-    let query: String = (0..PAIR_LEN).map(|_| BASES[rng.gen_range(0..4usize)]).collect();
-    let mut reference = query.clone();
-    let i = rng.gen_range(0..PAIR_LEN);
-    reference.replace_range(i..=i, "T");
-    Request::Pair { id, query, reference }
 }
 
 /// Terminal outcomes one tenant connection observed, with latencies for
@@ -170,7 +152,7 @@ fn drive_tenant(
 
         let mut rng = StdRng::seed_from_u64(seed);
         for id in 0..count {
-            let req = make_pair(&mut rng, id);
+            let req = storm_pair(&mut rng, id);
             sent.lock().unwrap().insert(id, Instant::now());
             write_frame(&mut sess.wr, &req.encode()).expect("storm write");
             // Exponential inter-arrival: open loop, no waiting on acks.
@@ -192,7 +174,7 @@ fn drive_slow_client(addr: std::net::SocketAddr, count: usize) -> TenantOutcome 
     let mut sess = open_session(addr, "-", "sloth", Priority::Normal);
     let mut rng = StdRng::seed_from_u64(0xfeed);
     for id in 0..count {
-        let req = make_pair(&mut rng, id);
+        let req = storm_pair(&mut rng, id);
         write_frame(&mut sess.wr, &req.encode()).expect("slow write");
     }
     // The adversarial pause: responses pile up server-side.
@@ -286,7 +268,7 @@ fn crash_resume_pass() {
     let mut rng = StdRng::seed_from_u64(77);
     const PAIRS: usize = 32;
     const ACKS: usize = 10;
-    let reqs: Vec<Request> = (0..PAIRS).map(|id| make_pair(&mut rng, id)).collect();
+    let reqs: Vec<Request> = (0..PAIRS).map(|id| storm_pair(&mut rng, id)).collect();
     for req in &reqs {
         write_frame(&mut sess.wr, &req.encode()).expect("crash write");
     }
@@ -470,7 +452,7 @@ fn main() {
     };
 
     header(&format!(
-        "server storm: {CONFIG}, {PAIR_LEN} bp pairs, fault injection on, \
+        "server storm: {STORM_CONFIG}, {STORM_PAIR_LEN} bp pairs, fault injection on, \
          hot tenant at 2x offered, {seconds} s per point"
     ));
 
@@ -513,7 +495,9 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"server_storm\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"pair_len\": {PAIR_LEN},\n  \"seconds_per_point\": {seconds},\n"));
+    json.push_str(&format!(
+        "  \"pair_len\": {STORM_PAIR_LEN},\n  \"seconds_per_point\": {seconds},\n"
+    ));
     json.push_str("  \"loads\": [\n");
     points_json(&mut json, &base.points);
     json.push_str("  ],\n");

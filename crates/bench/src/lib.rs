@@ -6,6 +6,11 @@
 
 use std::fmt::Display;
 
+use smx::align::{AlignError, AlignmentConfig};
+use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
+use smx::server::proto::Request;
+use smx::SmxDevice;
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!();
@@ -84,6 +89,39 @@ pub fn exponential_gap(rng: &mut impl rand::Rng, rate: f64) -> f64 {
     -rng.gen_range(f64::EPSILON..1.0).ln() / rate
 }
 
+/// Alignment configuration of the framed-TCP storms (`server_storm`,
+/// `chaos_storm`).
+pub const STORM_CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
+
+/// Length of every storm pair, in bases.
+pub const STORM_PAIR_LEN: usize = 64;
+
+/// The storms' template device. Device fault injection stays on (tile
+/// fault rate 5e-4, seed 42) underneath whatever the storm attacks:
+/// transient tile faults must ride through retry and recovery, never to
+/// a client, and compose with host-path faults without breaking
+/// byte-identity.
+///
+/// # Errors
+///
+/// Propagates device construction errors.
+pub fn storm_device() -> Result<SmxDevice, AlignError> {
+    let mut dev = SmxDevice::new(STORM_CONFIG, 2)?;
+    dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
+    Ok(dev)
+}
+
+/// Storm pair `id`: a random [`STORM_PAIR_LEN`]-base DNA query and a
+/// reference that sets one random position to `T`.
+pub fn storm_pair(rng: &mut impl rand::Rng, id: usize) -> Request {
+    const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
+    let query: String = (0..STORM_PAIR_LEN).map(|_| BASES[rng.gen_range(0..4usize)]).collect();
+    let mut reference = query.clone();
+    let i = rng.gen_range(0..STORM_PAIR_LEN);
+    reference.replace_range(i..=i, "T");
+    Request::Pair { id, query, reference }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +169,27 @@ mod tests {
         assert_eq!(percentile(&sorted, 1.0), 5.0);
         assert_eq!(percentile(&sorted, 1.5), 5.0, "p > 1 clamps to the maximum");
         assert_eq!(percentile(&sorted, -0.5), 1.0, "p < 0 clamps to the minimum");
+    }
+
+    #[test]
+    fn storm_pairs_are_seeded_and_differ_in_at_most_one_base() {
+        use rand::SeedableRng;
+        let draw = || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            (0..32).map(|id| storm_pair(&mut rng, id)).collect::<Vec<_>>()
+        };
+        let pairs = draw();
+        assert_eq!(pairs, draw(), "same seed, same workload");
+        for (id, req) in pairs.iter().enumerate() {
+            let Request::Pair { id: got, query, reference } = req else {
+                panic!("storm_pair built a non-pair request: {req:?}");
+            };
+            assert_eq!(*got, id);
+            assert_eq!((query.len(), reference.len()), (STORM_PAIR_LEN, STORM_PAIR_LEN));
+            let diffs = query.chars().zip(reference.chars()).filter(|(a, b)| a != b).count();
+            assert!(diffs <= 1, "pair {id} differs in {diffs} bases");
+        }
+        storm_device().expect("storm device builds");
     }
 
     #[test]

@@ -90,7 +90,8 @@ configs:    dna-edit | dna-gap | protein | ascii
 algorithms: full | banded | adaptive | xdrop | hirschberg | window
 engines:    software | simd | dpx | gmx | smx-1d | smx-2d | smx | gact
 
-fault injection (align): --fault-rate > 0 runs the functional SMX device
+fault injection (align): --fault-rate > 0 runs the batch through the
+batch executor (below; one job unless --jobs) on a functional SMX device
 with a seeded deterministic fault plan; faulty tiles are retried
 (--max-retries, --backoff cycles) and then recomputed in software unless
 --strict; --no-degrade fails a poisoned pair closed with a structured
@@ -232,11 +233,8 @@ pub fn align(args: &Args) -> Result<(), CliError> {
     }
 
     let fault_rate = args.get_num("fault-rate", 0.0f64).map_err(|e| e.to_string())?;
-    if service_requested(args) {
+    if service_requested(args, fault_rate) {
         return align_service(args, &named, config, workers, fault_rate);
-    }
-    if fault_rate > 0.0 {
-        return align_resilient(args, &named, config, workers, fault_rate);
     }
 
     let mut aligner = SmxAligner::new(config);
@@ -272,10 +270,11 @@ pub fn align(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Whether any batch-service flag was given, routing `align` through the
-/// [`BatchExecutor`] instead of the plain sequential paths.
-fn service_requested(args: &Args) -> bool {
-    args.get("jobs").is_some()
+/// Whether fault injection or any batch-service flag was given, routing
+/// `align` through the [`BatchExecutor`] instead of the plain aligner.
+fn service_requested(args: &Args, fault_rate: f64) -> bool {
+    fault_rate > 0.0
+        || args.get("jobs").is_some()
         || args.get("queue-cap").is_some()
         || args.get("deadline-ms").is_some()
         || args.get("checkpoint").is_some()
@@ -310,7 +309,7 @@ fn parse_baseline(args: &Args) -> Result<Baseline, String> {
     Baseline::parse(name).ok_or_else(|| format!("unknown baseline {name:?} (scalar|simd|auto)"))
 }
 
-/// The tile-recovery policy shared by the resilient and service paths.
+/// The tile-recovery policy shared by `align` and `serve`.
 fn recovery_policy(args: &Args) -> Result<RecoveryPolicy, String> {
     Ok(RecoveryPolicy {
         max_retries: args.get_num("max-retries", 2u32).map_err(|e| e.to_string())?,
@@ -458,15 +457,7 @@ fn align_service(
 
     let dev = service_device(args, config, workers, fault_rate)?;
     let cfg = executor_config(args)?;
-    let (jobs, queue_cap) = (cfg.jobs, cfg.queue_cap);
-    let devices = cfg.devices.max(1);
-    let audit = cfg.audit;
-    let hedge = cfg.hedge;
-    let quarantine = cfg.quarantine;
-    // Re-read the raw knobs for the stats footer.
-    let audit_rate = args.get_num("audit-rate", 0.0f64).map_err(|e| e.to_string())?;
-    let hedge_after_ms = args.get_num("hedge-after-ms", 0u64).map_err(|e| e.to_string())?;
-    let silent_rate = args.get_num("silent-rate", 0.0f64).map_err(|e| e.to_string())?;
+    let plan = dev.fault_plan();
     let exec = BatchExecutor::new(dev, cfg).map_err(|e| e.to_string())?;
 
     let resume_map = match args.get("resume") {
@@ -521,72 +512,7 @@ fn align_service(
         return Err(format!("checkpoint write failed: {e}").into());
     }
 
-    let s = &report.stats;
-    eprintln!(
-        "# service: jobs={jobs} queue-cap={queue_cap} max-depth={} completed={} failed={} \
-         shed={} resumed={} deadline-exceeded={} cancelled={}",
-        s.max_queue_depth,
-        s.completed,
-        s.failed,
-        s.shed,
-        s.resumed,
-        s.deadline_exceeded,
-        s.cancelled
-    );
-    eprintln!(
-        "# routing: device={} software={} probes={} faulted-pairs={}",
-        s.device_pairs, s.software_pairs, s.probe_pairs, s.faulted_pairs
-    );
-    if let Some(b) = &s.breaker {
-        eprintln!(
-            "# breaker: state={} opened={} half-opened={} closed={}",
-            b.state, b.transitions.opened, b.transitions.half_opened, b.transitions.closed
-        );
-    }
-    if audit.is_some() {
-        eprintln!(
-            "# integrity: audit-rate={audit_rate} audits={} violations={} recomputed={}",
-            s.audits_run, s.integrity_violations, s.integrity_recomputed
-        );
-    }
-    if hedge.is_some() {
-        eprintln!(
-            "# hedge: after-ms={hedge_after_ms} launched={} won={}",
-            s.hedges_launched, s.hedges_won
-        );
-    }
-    if devices > 1 || quarantine.is_some() {
-        eprintln!(
-            "# pool: devices={devices} quarantines={} readmissions={} canaries={} \
-             canary-failures={}",
-            s.quarantines, s.readmissions, s.canary_runs, s.canary_failures
-        );
-        for (id, d) in s.per_device.iter().enumerate() {
-            eprintln!(
-                "# device {id}: pairs={} faulted={} violations={} deadline={} health={:.3}{}",
-                d.pairs,
-                d.faulted_pairs,
-                d.integrity_violations,
-                d.deadline_events,
-                d.health,
-                if d.quarantined { " quarantined" } else { "" }
-            );
-        }
-    }
-    if fault_rate > 0.0 || silent_rate > 0.0 {
-        let r = &s.recovery;
-        eprintln!(
-            "# faults: rate={fault_rate:.1e} injected={} detected={} retries={} fallbacks={} \
-             software-alignments={} silent-corruptions={} cycles-lost={}",
-            r.faults_injected,
-            r.faults_detected,
-            r.retries,
-            r.fallbacks,
-            r.software_alignments,
-            r.silent_corruptions,
-            r.cycles_lost
-        );
-    }
+    eprint!("{}", service_footer(exec.config(), &report.stats, plan));
     if !report.all_succeeded() {
         eprintln!("{}", report.failure_summary());
         if args.switch("strict") {
@@ -599,7 +525,7 @@ fn align_service(
                 code,
                 message: format!(
                     "batch completed with {} failed and {} shed pairs under --strict",
-                    s.failed, s.shed
+                    report.stats.failed, report.stats.shed
                 ),
             });
         }
@@ -607,59 +533,95 @@ fn align_service(
     Ok(())
 }
 
-/// Fault-injection path for `align`: runs the functional SMX device with a
-/// seeded fault plan and the tile-retry / software-fallback recovery stack,
-/// failing poisoned pairs closed with a per-batch summary.
-fn align_resilient(
-    args: &Args,
-    named: &[smx_io::pairs::NamedPair],
-    config: AlignmentConfig,
-    workers: usize,
-    fault_rate: f64,
-) -> Result<(), CliError> {
-    let seed = args.get_num("fault-seed", 42u64).map_err(|e| e.to_string())?;
-    let mut dev = SmxDevice::new(config, workers).map_err(|e| e.to_string())?;
-    dev.set_baseline(parse_baseline(args)?);
-    dev.enable_fault_injection(FaultPlan::new(seed, fault_rate), recovery_policy(args)?);
-    dev.set_graceful_degradation(!args.switch("no-degrade"));
+/// The `# ...` stats footer `align` prints to stderr after a batch run
+/// under `cfg`; `plan` is the template device's fault plan, if any.
+fn service_footer(cfg: &ExecutorConfig, s: &smx::ServiceStats, plan: Option<FaultPlan>) -> String {
+    use smx::pool::HedgeTrigger;
+    use std::fmt::Write as _;
 
-    let pairs: Vec<(Sequence, Sequence)> =
-        named.iter().map(|p| (p.query.clone(), p.reference.clone())).collect();
-    let report = dev.align_batch(&pairs);
-
-    for (p, outcome) in named.iter().zip(&report.alignments) {
-        match outcome {
-            Some(a) => {
-                println!("{}\t{}\tscore={}\tcigar={}", p.query_id, p.reference_id, a.score, a.cigar)
-            }
-            None => println!("{}\t{}\tfailed", p.query_id, p.reference_id),
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# service: jobs={} queue-cap={} max-depth={} completed={} failed={} shed={} \
+         resumed={} deadline-exceeded={} cancelled={}",
+        cfg.jobs,
+        cfg.queue_cap,
+        s.max_queue_depth,
+        s.completed,
+        s.failed,
+        s.shed,
+        s.resumed,
+        s.deadline_exceeded,
+        s.cancelled
+    );
+    let _ = writeln!(
+        out,
+        "# routing: device={} software={} probes={} faulted-pairs={}",
+        s.device_pairs, s.software_pairs, s.probe_pairs, s.faulted_pairs
+    );
+    if let Some(b) = &s.breaker {
+        let _ = writeln!(
+            out,
+            "# breaker: state={} opened={} half-opened={} closed={}",
+            b.state, b.transitions.opened, b.transitions.half_opened, b.transitions.closed
+        );
+    }
+    if let Some(audit) = &cfg.audit {
+        let _ = writeln!(
+            out,
+            "# integrity: audit-rate={} audits={} violations={} recomputed={}",
+            audit.rate, s.audits_run, s.integrity_violations, s.integrity_recomputed
+        );
+    }
+    if let Some(hedge) = &cfg.hedge {
+        let trigger = match hedge.trigger {
+            HedgeTrigger::After(budget) => format!("after-ms={}", budget.as_millis()),
+            HedgeTrigger::P95 { .. } => "p95".to_string(),
+        };
+        let _ =
+            writeln!(out, "# hedge: {trigger} launched={} won={}", s.hedges_launched, s.hedges_won);
+    }
+    // The pool size is what the executor built (`--devices 0` sizes it to
+    // `--jobs`), not the flag.
+    let devices = s.per_device.len();
+    if devices > 1 || cfg.quarantine.is_some() {
+        let _ = writeln!(
+            out,
+            "# pool: devices={devices} quarantines={} readmissions={} canaries={} \
+             canary-failures={}",
+            s.quarantines, s.readmissions, s.canary_runs, s.canary_failures
+        );
+        for (id, d) in s.per_device.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "# device {id}: pairs={} faulted={} violations={} deadline={} health={:.3}{}",
+                d.pairs,
+                d.faulted_pairs,
+                d.integrity_violations,
+                d.deadline_events,
+                d.health,
+                if d.quarantined { " quarantined" } else { "" }
+            );
         }
     }
-    if !report.failures.is_empty() {
-        eprintln!("{}", report.failure_summary());
+    if let Some(plan) = plan {
+        let r = &s.recovery;
+        let _ = writeln!(
+            out,
+            "# faults: rate={:.1e} seed={} injected={} detected={} retries={} fallbacks={} \
+             software-alignments={} silent-corruptions={} cycles-lost={}",
+            plan.rate(),
+            plan.seed(),
+            r.faults_injected,
+            r.faults_detected,
+            r.retries,
+            r.fallbacks,
+            r.software_alignments,
+            r.silent_corruptions,
+            r.cycles_lost
+        );
     }
-    let s = &report.recovery;
-    eprintln!(
-        "# faults: rate={fault_rate:.1e} seed={seed} injected={} detected={} retries={} \
-         fallbacks={} software-alignments={} cycles-lost={}",
-        s.faults_injected,
-        s.faults_detected,
-        s.retries,
-        s.fallbacks,
-        s.software_alignments,
-        s.cycles_lost
-    );
-    if args.switch("strict") && !report.all_succeeded() {
-        let code = strict_exit_code(report.failures.iter().map(|f| StrictFailure::Error(&f.error)));
-        return Err(CliError {
-            code,
-            message: format!(
-                "batch completed with {} failed pairs under --strict",
-                report.failures.len()
-            ),
-        });
-    }
-    Ok(())
+    out
 }
 
 /// Minimal signal latch for graceful drain: a raw `signal(2)` handler
@@ -1157,8 +1119,9 @@ mod tests {
         let rp = dir.join("r.fa");
         std::fs::write(&qp, ">q0\nGATTACAGATTACAGATTACAGATTACA\n").unwrap();
         std::fs::write(&rp, ">r0\nGATTACACATTACAGATTACAGATTACA\n").unwrap();
-        // The resilient path routes degraded scoring through the selected
-        // kernel; all three names must be accepted and behave identically.
+        // Fault injection runs through the batch executor, whose devices
+        // route degraded scoring through the selected kernel; all three
+        // names must be accepted and behave identically.
         for baseline in ["scalar", "simd", "auto"] {
             let a = Args::parse(
                 [
@@ -1321,6 +1284,27 @@ mod tests {
         .unwrap();
         // deadline-ms 0 disables the deadline; the run must succeed.
         align(&a).unwrap();
+    }
+
+    #[test]
+    fn service_footer_reports_the_pool_the_executor_built() {
+        // `--devices 0` sizes the pool to `--jobs`: the footer must report
+        // the four devices the executor built, with or without quarantine.
+        let dna = |t: &str| Sequence::from_text(AlignmentConfig::DnaEdit.alphabet(), t).unwrap();
+        let pairs: Vec<(Sequence, Sequence)> =
+            (0..4).map(|_| (dna("GATTACAGATTACAGATTACA"), dna("GATTACACATTACAGATTACA"))).collect();
+        for quarantine in [false, true] {
+            let mut argv = vec!["align", "--jobs", "4", "--devices", "0"];
+            if quarantine {
+                argv.push("--quarantine");
+            }
+            let a = Args::parse(argv.iter().map(|s| s.to_string()), &["quarantine"]).unwrap();
+            let dev = service_device(&a, AlignmentConfig::DnaEdit, 4, 0.0).unwrap();
+            let exec = BatchExecutor::new(dev, executor_config(&a).unwrap()).unwrap();
+            let footer = service_footer(exec.config(), &exec.run(&pairs).stats, None);
+            assert!(footer.contains("# pool: devices=4 "), "quarantine={quarantine}\n{footer}");
+            assert_eq!(footer.matches("# device ").count(), 4, "{footer}");
+        }
     }
 
     #[test]

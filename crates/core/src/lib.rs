@@ -67,14 +67,14 @@ pub mod service;
 pub mod testkit;
 
 pub use aligner::{Algorithm, BatchReport, PairReport, SmxAligner};
-pub use orchestrator::{AffineDevice, BatchFailure, DeviceBatchReport, SmxDevice};
+pub use orchestrator::{AffineDevice, SmxDevice};
 pub use pool::{AuditConfig, DeviceStats, HedgeConfig, HedgeTrigger, QuarantineConfig};
 pub use server::{
     Client, DrainReport, RetryConfig, Server, ServerConfig, ServerCounters, ServerHandle,
     ShardSnapshot, SupervisorConfig,
 };
 pub use service::{
-    AdmissionPolicy, BatchExecutor, BreakerConfig, BreakerSnapshot, BreakerState,
+    AdmissionPolicy, BatchExecutor, BatchFailure, BreakerConfig, BreakerSnapshot, BreakerState,
     BreakerTransitions, ExecutorConfig, PairOutcome, RunOptions, ServiceBatchReport, ServiceStats,
     ShardPlan,
 };

@@ -40,7 +40,7 @@ use smx_align_core::{AlignError, Alignment, Sequence};
 use smx_coproc::control::CancelToken;
 use smx_coproc::faults::RecoveryStats;
 
-use crate::orchestrator::{BatchFailure, SmxDevice};
+use crate::orchestrator::SmxDevice;
 use crate::pool::{
     AuditConfig, DevicePool, DeviceStats, Dispatch, HedgeConfig, OutcomeEvents, QuarantineConfig,
 };
@@ -524,6 +524,15 @@ pub struct ServiceBatchReport {
     pub stats: ServiceStats,
 }
 
+/// One pair's structured failure inside a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchFailure {
+    /// Index of the failing pair within the batch.
+    pub index: usize,
+    /// The structured error that poisoned it.
+    pub error: AlignError,
+}
+
 impl ServiceBatchReport {
     /// The alignment for pair `index`, when it succeeded.
     #[must_use]
@@ -553,9 +562,9 @@ impl ServiceBatchReport {
             .collect()
     }
 
-    /// One-line-per-failure summary with the aggregate cause breakdown,
-    /// mirroring
-    /// [`crate::orchestrator::DeviceBatchReport::failure_summary`].
+    /// One-line-per-failure summary for logs and the CLI, with an
+    /// aggregate cause breakdown (deadlines and cancellations called out
+    /// so operators can tell overload from bad input).
     #[must_use]
     pub fn failure_summary(&self) -> String {
         use std::fmt::Write as _;
@@ -1044,28 +1053,112 @@ mod tests {
         assert!(report.stats.max_queue_depth <= 4);
     }
 
+    /// The breaker the storm tables run with: trips at a 25% faulted
+    /// share of the last 8 pairs, re-probes after 8 software pairs.
+    const STORM_BREAKER: BreakerConfig =
+        BreakerConfig { window: 8, min_samples: 4, threshold: 0.25, cooldown_pairs: 8, probes: 2 };
+
+    /// Fault storms through a 4-job pool, with and without the breaker:
+    /// whatever routing the faults cause, no pair's score or CIGAR may
+    /// differ from the fault-free sequential run. The four workers share
+    /// one device, so its breaker sees the whole stream and trips
+    /// mid-batch (every 160 bp pair faults at these rates), moving the
+    /// rest of the batch to the software baseline and probes.
     #[test]
     fn fault_storm_through_pool_is_byte_identical_to_clean_run() {
         let config = AlignmentConfig::DnaGap;
-        let batch = pairs(config, 20, 80);
+        let batch = pairs(config, 16, 160);
         let golden = clean_baseline(config, &batch);
-        let mut dev = SmxDevice::new(config, 2).unwrap();
-        dev.enable_fault_injection(FaultPlan::new(42, 0.3), RecoveryPolicy::default());
-        let exec = BatchExecutor::new(
-            dev,
-            ExecutorConfig {
-                jobs: 4,
-                queue_cap: 8,
-                breaker: Some(BreakerConfig::default()),
-                ..ExecutorConfig::default()
-            },
-        )
-        .unwrap();
-        let report = exec.run(&batch);
-        assert!(report.all_succeeded(), "{}", report.failure_summary());
-        assert_byte_identical(&report, &golden);
-        assert!(report.stats.recovery.invariants_hold());
-        assert!(report.stats.recovery.faults_injected > 0);
+        for rate in [0.0, 0.05, 0.1, 0.3] {
+            for breaker in [None, Some(STORM_BREAKER)] {
+                let mut dev = SmxDevice::new(config, 2).unwrap();
+                if rate > 0.0 {
+                    dev.enable_fault_injection(FaultPlan::new(42, rate), RecoveryPolicy::default());
+                }
+                let exec = BatchExecutor::new(
+                    dev,
+                    ExecutorConfig {
+                        jobs: 4,
+                        queue_cap: 8,
+                        breaker,
+                        devices: 1,
+                        ..ExecutorConfig::default()
+                    },
+                )
+                .unwrap();
+                let report = exec.run(&batch);
+                let point = format!("rate {rate}, breaker {}", breaker.is_some());
+                assert!(report.all_succeeded(), "{point}: {}", report.failure_summary());
+                assert_byte_identical(&report, &golden);
+                let s = &report.stats;
+                assert!(s.recovery.invariants_hold(), "{point}: {:?}", s.recovery);
+                assert_eq!(s.recovery.faults_injected > 0, rate > 0.0, "{point}: {s:?}");
+                let rerouted = breaker.is_some() && rate > 0.0;
+                assert_eq!(s.software_pairs > 0, rerouted, "{point}: {s:?}");
+            }
+        }
+    }
+
+    /// The whole integrity stack — four devices, full audit, quarantine,
+    /// breaker and an armed hedge — under storms of mixed detectable and
+    /// silent faults. Silent corruption passes every device check, so
+    /// only the audit's recovery ladder (device retry, then software
+    /// recompute) keeps the output byte-identical; every run that
+    /// corrupted a result must show the audit catching it, and the table
+    /// as a whole must reach the software recompute.
+    #[test]
+    fn audited_pool_survives_mixed_detectable_and_silent_fault_storms() {
+        let config = AlignmentConfig::DnaGap;
+        let batch = pairs(config, 16, 160);
+        let golden = clean_baseline(config, &batch);
+        let quarantine = QuarantineConfig {
+            alpha: 0.25,
+            threshold: 0.5,
+            min_samples: 4,
+            canary_period: 8,
+            canary_probes: 2,
+        };
+        let (mut corrupted, mut recomputed) = (0, 0);
+        for rate in [0.05, 0.15] {
+            for hedge in [
+                None,
+                Some(HedgeConfig::after(Duration::from_millis(250))),
+                Some(HedgeConfig::p95()),
+            ] {
+                let mut dev = SmxDevice::new(config, 2).unwrap();
+                dev.enable_fault_injection(
+                    FaultPlan::new(42, rate).with_silent_rate(rate),
+                    RecoveryPolicy::default(),
+                );
+                let exec = BatchExecutor::new(
+                    dev,
+                    ExecutorConfig {
+                        jobs: 4,
+                        queue_cap: 16,
+                        breaker: Some(STORM_BREAKER),
+                        devices: 4,
+                        audit: Some(AuditConfig::full()),
+                        hedge,
+                        quarantine: Some(quarantine),
+                        ..ExecutorConfig::default()
+                    },
+                )
+                .unwrap();
+                let report = exec.run(&batch);
+                assert_all_aligned(&report);
+                assert_byte_identical(&report, &golden);
+                let s = &report.stats;
+                let point = format!("rate {rate}, hedge {hedge:?}");
+                assert_eq!(s.per_device.len(), 4, "{point}");
+                if s.recovery.silent_corruptions > 0 {
+                    assert!(s.integrity_violations > 0, "{point}: corruption escaped a full audit");
+                }
+                corrupted += s.recovery.silent_corruptions;
+                recomputed += s.integrity_recomputed;
+            }
+        }
+        assert!(corrupted > 0, "no run corrupted a result: the table proves nothing");
+        assert!(recomputed > 0, "no run reached the software recompute");
     }
 
     #[test]

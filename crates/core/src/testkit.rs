@@ -1,12 +1,11 @@
-//! Assertion helpers shared by unit tests, integration tests, and the
-//! bench harnesses.
+//! Assertion helpers shared by unit and integration tests.
 //!
 //! Service reports are positional; a failed lookup should say *which*
 //! pair failed and *why the batch thinks it failed*, not just panic on
 //! a bare `unwrap`. Centralizing the checks keeps the panic messages
 //! descriptive and identical everywhere the byte-identity invariant is
-//! asserted — the unit tests, the proptest harnesses, and the
-//! `integrity_storm` bench all call the same code.
+//! asserted — the `service` fault-storm tables, the proptest harnesses
+//! and the integration tests all call the same code.
 
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
