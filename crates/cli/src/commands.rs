@@ -109,7 +109,8 @@ way back. --checkpoint appends completed pairs to a crash-safe manifest;
 
 integrity + fleet health (align): --devices N spreads the batch over a
 pool of N simulated devices, each with its own reseeded fault plan,
-breaker, and EWMA health score. --silent-rate F makes a fraction of
+breaker, and EWMA share of bad pairs
+(`bad-pair-ewma` in the footer: 0 = clean). --silent-rate F makes a fraction of
 device results silently corrupt (no checksum trips) — only the audit
 catches those. --audit-rate F re-verifies that fraction of device
 alignments against the scoring scheme; a failed audit is retried once
@@ -594,12 +595,12 @@ fn service_footer(cfg: &ExecutorConfig, s: &smx::ServiceStats, plan: Option<Faul
         for (id, d) in s.per_device.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "# device {id}: pairs={} faulted={} violations={} deadline={} health={:.3}{}",
+                "# device {id}: pairs={} faulted={} violations={} deadline={} bad-pair-ewma={:.3}{}",
                 d.pairs,
                 d.faulted_pairs,
                 d.integrity_violations,
                 d.deadline_events,
-                d.health,
+                d.bad_pair_ewma,
                 if d.quarantined { " quarantined" } else { "" }
             );
         }
@@ -1304,6 +1305,8 @@ mod tests {
             let footer = service_footer(exec.config(), &exec.run(&pairs).stats, None);
             assert!(footer.contains("# pool: devices=4 "), "quarantine={quarantine}\n{footer}");
             assert_eq!(footer.matches("# device ").count(), 4, "{footer}");
+            // A clean run: every device's share of bad pairs is zero.
+            assert_eq!(footer.matches(" bad-pair-ewma=0.000").count(), 4, "{footer}");
         }
     }
 

@@ -12,8 +12,9 @@
 //!   at a configurable sampling rate. The audit is the only defense
 //!   against *silent* readout corruption, which by construction passes
 //!   every device-side checksum.
-//! * **Health quarantine** — each device carries an EWMA health score
-//!   over fault/integrity/deadline events. A device whose score crosses
+//! * **Health quarantine** — each device carries an EWMA share of bad
+//!   pairs (`bad_pair_ewma`: 0 = clean) over fault/integrity/deadline
+//!   events. A device whose share reaches
 //!   the quarantine threshold is removed from dispatch and periodically
 //!   re-probed with canary pairs (known-answer alignments); only a
 //!   streak of clean canaries readmits it.
@@ -73,10 +74,10 @@ impl AuditConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuarantineConfig {
     /// EWMA smoothing factor in `(0, 1]`: the weight of the newest
-    /// pair's outcome in the health score.
+    /// pair's outcome in the bad-pair EWMA.
     pub alpha: f64,
-    /// Health score (EWMA of the failure indicator, in `[0, 1]`) at
-    /// which a device is quarantined.
+    /// Bad-pair EWMA (of the failure indicator, in `[0, 1]`) at which a
+    /// device is quarantined.
     pub threshold: f64,
     /// Minimum device pairs observed before quarantine may trigger.
     pub min_samples: u64,
@@ -157,8 +158,10 @@ pub struct DeviceStats {
     pub canary_runs: u64,
     /// Canary probes that failed (fault, error, or wrong answer).
     pub canary_failures: u64,
-    /// Final EWMA health score (0 = healthy, 1 = every recent pair bad).
-    pub health: f64,
+    /// Final EWMA share of bad pairs (0 = every recent pair clean,
+    /// 1 = every recent pair bad); quarantine trips when it reaches the
+    /// threshold.
+    pub bad_pair_ewma: f64,
     /// Whether the device ended the batch quarantined.
     pub quarantined: bool,
     /// Final state of this device's breaker, when one was configured.
@@ -182,7 +185,7 @@ pub(crate) enum Dispatch {
 }
 
 /// Everything that happened to one pair on its device, fed back into the
-/// breaker, the health score, and the counters in one lock acquisition.
+/// breaker, the bad-pair EWMA, and the counters in one lock acquisition.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OutcomeEvents {
     /// The device injected a detectable fault or failed with a
@@ -230,7 +233,7 @@ pub(crate) struct PoolHealth {
 #[derive(Debug)]
 struct Slot {
     breaker: Option<Breaker>,
-    health: f64,
+    bad_pair_ewma: f64,
     samples: u64,
     quarantined: bool,
     canary_streak: u64,
@@ -250,7 +253,7 @@ impl PoolHealth {
         let slots = (0..devices)
             .map(|_| Slot {
                 breaker: breaker_cfg.map(Breaker::new),
-                health: 0.0,
+                bad_pair_ewma: 0.0,
                 samples: 0,
                 quarantined: false,
                 canary_streak: 0,
@@ -292,7 +295,7 @@ impl PoolHealth {
         Dispatch::Software
     }
 
-    /// Feeds one pair's outcome back: breaker window, EWMA health,
+    /// Feeds one pair's outcome back: breaker window, bad-pair EWMA,
     /// per-device and pool counters, and the quarantine decision.
     pub(crate) fn record(&mut self, id: usize, route: Route, ev: OutcomeEvents) {
         self.counters.audits_run += u64::from(ev.audits);
@@ -326,9 +329,10 @@ impl PoolHealth {
             None => return,
         };
         let bad = ev.faulted || ev.integrity > 0 || ev.deadline;
-        slot.health = q.alpha * f64::from(u8::from(bad)) + (1.0 - q.alpha) * slot.health;
+        slot.bad_pair_ewma =
+            q.alpha * f64::from(u8::from(bad)) + (1.0 - q.alpha) * slot.bad_pair_ewma;
         slot.samples += 1;
-        if !slot.quarantined && slot.samples >= q.min_samples && slot.health >= q.threshold {
+        if !slot.quarantined && slot.samples >= q.min_samples && slot.bad_pair_ewma >= q.threshold {
             slot.quarantined = true;
             slot.stats.quarantines += 1;
             slot.canary_streak = 0;
@@ -354,7 +358,7 @@ impl PoolHealth {
     }
 
     /// Feeds back one canary verdict; a streak of clean canaries
-    /// readmits the device with fresh health and a fresh breaker.
+    /// readmits the device with a zero bad-pair EWMA and a fresh breaker.
     pub(crate) fn record_canary(&mut self, id: usize, passed: bool) {
         let q = match self.quarantine {
             Some(q) => q,
@@ -371,7 +375,7 @@ impl PoolHealth {
         slot.canary_streak += 1;
         if slot.canary_streak >= q.canary_probes {
             slot.quarantined = false;
-            slot.health = 0.0;
+            slot.bad_pair_ewma = 0.0;
             slot.samples = 0;
             slot.stats.readmissions += 1;
             // A stale pre-quarantine fault window must not instantly
@@ -415,14 +419,14 @@ impl PoolHealth {
         self.slots[id].quarantined
     }
 
-    /// Per-device stats (with final health and breaker state) and pool
+    /// Per-device stats (with final bad-pair EWMA and breaker state) and pool
     /// counters, readable while the pool keeps running.
     pub(crate) fn snapshot(&self) -> (Vec<DeviceStats>, PoolCounters) {
         let stats = self
             .slots
             .iter()
             .map(|slot| DeviceStats {
-                health: slot.health,
+                bad_pair_ewma: slot.bad_pair_ewma,
                 quarantined: slot.quarantined,
                 breaker: slot
                     .breaker
@@ -870,7 +874,7 @@ mod tests {
         }
         assert!(!h.is_quarantined(0));
         let (stats, _) = h.snapshot();
-        assert!(stats[0].health < 0.05, "health {:.4}", stats[0].health);
+        assert!(stats[0].bad_pair_ewma < 0.05, "bad-pair EWMA {:.4}", stats[0].bad_pair_ewma);
     }
 
     #[test]
@@ -910,7 +914,7 @@ mod tests {
         assert_eq!(stats[0].readmissions, 1);
         assert_eq!(stats[0].canary_runs, 3);
         assert_eq!(stats[0].canary_failures, 1);
-        assert_eq!(stats[0].health, 0.0, "readmission resets health");
+        assert_eq!(stats[0].bad_pair_ewma, 0.0, "readmission resets the bad-pair EWMA");
         let snap = stats[0].breaker.expect("breaker configured");
         assert_eq!(snap.state, BreakerState::Closed, "readmission resets the breaker");
     }
@@ -924,7 +928,7 @@ mod tests {
         assert!(!h.is_quarantined(0));
         let (stats, _) = h.snapshot();
         assert_eq!(stats[0].pairs, 0);
-        assert_eq!(stats[0].health, 0.0);
+        assert_eq!(stats[0].bad_pair_ewma, 0.0);
     }
 
     #[test]

@@ -414,8 +414,13 @@ fn shard_line(s: &ShardSnapshot) -> String {
 fn device_line(d: &DeviceStats) -> String {
     let breaker = d.breaker.map_or_else(|| "none".to_string(), |b| b.state.to_string());
     format!(
-        "pairs={} faulted={} integrity={} deadline_events={} health={:.3} quarantined={} breaker={breaker}",
-        d.pairs, d.faulted_pairs, d.integrity_violations, d.deadline_events, d.health, d.quarantined
+        "pairs={} faulted={} integrity={} deadline_events={} bad_pair_ewma={:.3} quarantined={} breaker={breaker}",
+        d.pairs,
+        d.faulted_pairs,
+        d.integrity_violations,
+        d.deadline_events,
+        d.bad_pair_ewma,
+        d.quarantined
     )
 }
 

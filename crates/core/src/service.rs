@@ -14,7 +14,7 @@
 //!
 //! Since PR 3 the executor supervises a whole *pool* of devices
 //! ([`crate::pool`], DESIGN.md §6): each pool slot has its own seeded
-//! fault plan, its own breaker, and an EWMA health score that can
+//! fault plan, its own breaker, and an EWMA share of bad pairs that can
 //! quarantine it behind canary re-probes. On top of routing, the service
 //! defends result *content* with a scoreboard — device alignments are
 //! re-verified on the host at a configurable audit rate, and a failed

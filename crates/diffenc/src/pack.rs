@@ -99,6 +99,22 @@ impl PackedVec {
         (0..count).map(|k| self.lane(k)).collect()
     }
 
+    /// Unpacks the first `out.len()` lanes into `out` without allocating
+    /// (the allocation-free counterpart of [`to_lanes`](Self::to_lanes)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() > VL`.
+    pub fn unpack_into(self, out: &mut [u8]) {
+        let ew = self.ew();
+        assert!(out.len() <= ew.vl(), "{} lanes exceed VL={} for {ew}", out.len(), ew.vl());
+        let bits = u32::from(self.ew_bits);
+        let mask = u64::from(ew.max_value());
+        for (k, v) in out.iter_mut().enumerate() {
+            *v = ((self.word >> (k as u32 * bits)) & mask) as u8;
+        }
+    }
+
     /// Sum of the first `count` lanes (the `smx.redsum` datapath).
     ///
     /// # Panics
@@ -251,6 +267,16 @@ mod tests {
         let packed = PackedSeq::from_codes(ElementWidth::W2, &codes).unwrap();
         assert_eq!(packed.byte_len(), 80);
         assert_eq!(packed.words().len(), 10);
+    }
+
+    #[test]
+    fn unpack_into_matches_to_lanes() {
+        let v = PackedVec::from_lanes(ElementWidth::W6, &[1, 63, 0, 42, 7]).unwrap();
+        let mut out = [0xFFu8; 5];
+        v.unpack_into(&mut out);
+        assert_eq!(out.to_vec(), v.to_lanes(5));
+        let mut none: [u8; 0] = [];
+        v.unpack_into(&mut none);
     }
 
     proptest! {

@@ -5,10 +5,11 @@
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
-use crate::tile::{TileInput, TileOutput};
+use crate::tile::{TileInput, MAX_VL};
 use crate::worker::{block_transfer_stats, TransferStats};
-use smx_align_core::AlignError;
+use smx_align_core::{AlignError, ElementWidth};
 use smx_diffenc::boundary::BlockBorders;
+use smx_diffenc::pack::PackedVec;
 
 /// What the coprocessor retains from a block computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,15 +22,22 @@ pub enum BlockMode {
 }
 
 /// Stored per-tile state enabling selective recomputation (paper Fig. 8a).
+///
+/// Each tile keeps only its input borders, packed at EW bits per element
+/// in the [`PackedVec`] lane layout: one word of Δv′-left and one of
+/// Δh′-top (`VL · EW ≤ 64` at every width). The packed bytes are what
+/// the timing model charges as
+/// [`TransferStats::border_bytes_stored`] (exactly, except at EW = 6,
+/// where each 60-bit word carries 4 pad bits).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileBorderStore {
-    vl: usize,
+    ew: ElementWidth,
     m: usize,
     n: usize,
     t_rows: usize,
     t_cols: usize,
-    /// Input borders, row-major over the tile grid.
-    inputs: Vec<TileInput>,
+    /// `[Δv′-left, Δh′-top]` per tile, row-major over the tile grid.
+    borders: Vec<[u64; 2]>,
     /// Absolute DP value at each tile's top-left corner `M(ti·VL, tj·VL)`,
     /// relative to the block anchor.
     anchors: Vec<i32>,
@@ -51,7 +59,7 @@ impl TileBorderStore {
     /// Tile side (`VL`).
     #[must_use]
     pub fn vl(&self) -> usize {
-        self.vl
+        self.ew.vl()
     }
 
     /// Block dimensions `(m, n)`.
@@ -60,15 +68,34 @@ impl TileBorderStore {
         (self.m, self.n)
     }
 
-    /// Input borders of tile `(ti, tj)`.
+    /// Input borders of tile `(ti, tj)`, unpacked.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range.
     #[must_use]
-    pub fn input(&self, ti: usize, tj: usize) -> &TileInput {
+    pub fn input(&self, ti: usize, tj: usize) -> TileInput {
+        let (rs, cs) = self.tile_span(ti, tj);
+        let mut tin = TileInput::fresh(rs.len(), cs.len());
+        self.unpack_input(ti, tj, &mut tin.dv_left, &mut tin.dh_top);
+        tin
+    }
+
+    /// Unpacks the input borders of tile `(ti, tj)` into `dv_left` (one
+    /// entry per tile row) and `dh_top` (one per tile column) without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of range or a slice's length differs
+    /// from the tile's extent.
+    pub(crate) fn unpack_input(&self, ti: usize, tj: usize, dv_left: &mut [u8], dh_top: &mut [u8]) {
         assert!(ti < self.t_rows && tj < self.t_cols);
-        &self.inputs[ti * self.t_cols + tj]
+        let (rs, cs) = self.tile_span(ti, tj);
+        assert_eq!((dv_left.len(), dh_top.len()), (rs.len(), cs.len()), "tile ({ti}, {tj}) extent");
+        let [dv, dh] = self.borders[ti * self.t_cols + tj];
+        PackedVec::from_word(self.ew, dv).unpack_into(dv_left);
+        PackedVec::from_word(self.ew, dh).unpack_into(dh_top);
     }
 
     /// Absolute anchor of tile `(ti, tj)` (relative to the block anchor).
@@ -89,9 +116,9 @@ impl TileBorderStore {
         ti: usize,
         tj: usize,
     ) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let r0 = ti * self.vl;
-        let c0 = tj * self.vl;
-        (r0..(r0 + self.vl).min(self.m), c0..(c0 + self.vl).min(self.n))
+        let vl = self.vl();
+        let (r0, c0) = (ti * vl, tj * vl);
+        (r0..(r0 + vl).min(self.m), c0..(c0 + vl).min(self.n))
     }
 }
 
@@ -183,30 +210,39 @@ fn compute_block_inner(
     if m == 0 || n == 0 {
         return Err(AlignError::EmptySequence);
     }
-    let fresh = BlockBorders::fresh(m, n);
-    let borders = input.unwrap_or(&fresh);
-    if borders.rows() != m || borders.cols() != n {
-        return Err(AlignError::Internal(format!(
-            "block borders ({}, {}) do not match ({m}, {n})",
-            borders.rows(),
-            borders.cols()
-        )));
+    let ew = engine.ew();
+    if let Some(b) = input {
+        if b.rows() != m || b.cols() != n {
+            return Err(AlignError::Internal(format!(
+                "block borders ({}, {}) do not match ({m}, {n})",
+                b.rows(),
+                b.cols()
+            )));
+        }
+        if let Some(&v) =
+            b.top_dh.iter().chain(&b.left_dv).find(|&&v| u32::from(v) > ew.max_value())
+        {
+            return Err(AlignError::Internal(format!("block border value {v} overflows {ew}")));
+        }
     }
-    let scheme = engine.scheme().clone();
+    let scheme = engine.scheme();
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let vl = engine.tile_dim();
+    debug_assert!(vl <= MAX_VL);
     let t_rows = m.div_ceil(vl);
     let t_cols = n.div_ceil(vl);
 
-    let mut dh_carry: Vec<u8> = borders.top_dh.clone();
-    let mut right_dv: Vec<u8> = Vec::with_capacity(m);
-    let mut inputs: Vec<TileInput> = Vec::new();
-    let mut anchors: Vec<i32> = Vec::new();
+    // The two carries double as the block outputs: `dh_carry` flows down
+    // the columns and ends as the bottom row's Δh′; each tile-row's slice
+    // of `right_dv` flows right across the row and ends as its right Δv′.
+    let (mut dh_carry, mut right_dv) = match input {
+        Some(b) => (b.top_dh.clone(), b.left_dv.clone()),
+        None => (vec![0u8; n], vec![0u8; m]),
+    };
     let keep = mode == BlockMode::Traceback;
-    if keep {
-        inputs.reserve(t_rows * t_cols);
-        anchors.reserve(t_rows * t_cols);
-    }
+    let tiles = if keep { t_rows * t_cols } else { 0 };
+    let mut borders = vec![[0u64; 2]; tiles];
+    let mut anchors = vec![0i32; tiles];
     let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
 
     // Absolute anchor of the current tile-row's left edge.
@@ -215,8 +251,10 @@ fn compute_block_inner(
         let r0 = ti * vl;
         let rows = (m - r0).min(vl);
         let q_seg = &query[r0..r0 + rows];
-        // Δv′ entering the leftmost tile of this row from the block border.
-        let mut dv_carry: Vec<u8> = borders.left_dv[r0..r0 + rows].to_vec();
+        let dv = &mut right_dv[r0..r0 + rows];
+        // Advance the left anchor down this tile-row's left edge (summed
+        // before the sweep overwrites the row's Δv′ carry).
+        let row_drop = dv.iter().map(|&d| i32::from(d) + gi).sum::<i32>();
         let mut anchor = left_anchor;
         for tj in 0..t_cols {
             // Tile boundary: the cooperative cancellation / deadline hook
@@ -227,36 +265,35 @@ fn compute_block_inner(
             let c0 = tj * vl;
             let cols = (n - c0).min(vl);
             let r_seg = &reference[c0..c0 + cols];
-            let tin =
-                TileInput { dv_left: dv_carry.clone(), dh_top: dh_carry[c0..c0 + cols].to_vec() };
+            let dh = &mut dh_carry[c0..c0 + cols];
             if keep {
-                inputs.push(tin.clone());
-                anchors.push(anchor);
+                let t = ti * t_cols + tj;
+                borders[t] =
+                    [PackedVec::from_lanes(ew, dv)?.word(), PackedVec::from_lanes(ew, dh)?.word()];
+                anchors[t] = anchor;
             }
             // Advance the anchor across this tile's top edge.
-            anchor += tin.dh_top.iter().map(|&d| i32::from(d) + gd).sum::<i32>();
-            let TileOutput { dv_right, dh_bottom } = match session.as_mut() {
-                Some(s) => s.run_tile(engine, q_seg, r_seg, &tin, epoch, ti, tj)?,
-                None => engine.compute_tile(q_seg, r_seg, &tin)?,
-            };
-            dh_carry[c0..c0 + cols].copy_from_slice(&dh_bottom);
-            dv_carry = dv_right;
+            anchor += dh.iter().map(|&d| i32::from(d) + gd).sum::<i32>();
+            match session.as_mut() {
+                Some(s) => s.run_tile(engine, q_seg, r_seg, dv, dh, epoch, ti, tj)?,
+                None => engine.compute_tile(q_seg, r_seg, dv, dh)?,
+            }
         }
-        right_dv.extend_from_slice(&dv_carry);
-        // Advance the left anchor down this tile-row's left edge.
-        left_anchor +=
-            borders.left_dv[r0..r0 + rows].iter().map(|&d| i32::from(d) + gi).sum::<i32>();
+        left_anchor += row_drop;
     }
 
-    let top_sum: i32 = borders.top_dh.iter().map(|&d| i32::from(d) + gd).sum();
+    let top_sum: i32 = match input {
+        Some(b) => b.top_dh.iter().map(|&d| i32::from(d) + gd).sum(),
+        None => n as i32 * gd,
+    };
     let right_sum: i32 = right_dv.iter().map(|&d| i32::from(d) + gi).sum();
-    let stats = block_transfer_stats(m, n, engine.ew(), mode);
+    let stats = block_transfer_stats(m, n, ew, mode);
 
     Ok(BlockOutput {
         score: top_sum + right_sum,
         bottom_dh: dh_carry,
         right_dv,
-        borders: keep.then_some(TileBorderStore { vl, m, n, t_rows, t_cols, inputs, anchors }),
+        borders: keep.then_some(TileBorderStore { ew, m, n, t_rows, t_cols, borders, anchors }),
         stats,
     })
 }
@@ -264,7 +301,9 @@ fn compute_block_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smx_align_core::{dp, AlignmentConfig};
+    use smx_diffenc::delta::DeltaBlock;
 
     fn engine(cfg: AlignmentConfig) -> SmxEngine {
         SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap()
@@ -385,5 +424,60 @@ mod tests {
         let (rs, cs) = store.tile_span(1, 1);
         assert_eq!(rs, 8..10);
         assert_eq!(cs, 8..9);
+    }
+
+    #[test]
+    fn border_values_must_fit_the_element_width() {
+        let e = engine(AlignmentConfig::DnaEdit); // EW = 2
+        let bb = BlockBorders::from_neighbors(vec![0, 4], vec![0, 0]);
+        let err = compute_block(&e, &[0, 1], &[0, 1], Some(&bb), BlockMode::ScoreOnly);
+        assert!(matches!(err, Err(AlignError::Internal(_))), "{err:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Pack/unpack round trip of the border store at every EW: each
+        /// stored tile input, unpacked, equals the Δ′ values the
+        /// whole-block `pe_exact` oracle has on that tile's top and left
+        /// edges, for random block borders over the whole EW-bit range.
+        #[test]
+        fn store_round_trips_tile_inputs_at_every_width(
+            m in 1usize..80,
+            n in 1usize..80,
+            codes in proptest::collection::vec(0u8..=255, 160),
+            borders in proptest::collection::vec(0u8..=255, 160),
+        ) {
+            for cfg in AlignmentConfig::ALL {
+                let e = engine(cfg);
+                let card = cfg.alphabet().cardinality() as u8;
+                let lane = e.ew().max_value() as u8;
+                let q: Vec<u8> = codes[..m].iter().map(|c| c % card).collect();
+                let r: Vec<u8> = codes[80..80 + n].iter().map(|c| c % card).collect();
+                let left: Vec<u8> = borders[..m].iter().map(|b| b & lane).collect();
+                let top: Vec<u8> = borders[80..80 + n].iter().map(|b| b & lane).collect();
+                let bb = BlockBorders::from_neighbors(top.clone(), left.clone());
+                let out = compute_block(&e, &q, &r, Some(&bb), BlockMode::Traceback).unwrap();
+                let store = out.borders.unwrap();
+                let oracle = DeltaBlock::compute(e.ew(), &q, &r, e.scheme(), &top, &left).unwrap();
+                prop_assert_eq!(out.right_dv, oracle.right_dv(), "{cfg}");
+                prop_assert_eq!(out.bottom_dh, oracle.bottom_dh(), "{cfg}");
+                for ti in 0..store.tile_rows() {
+                    for tj in 0..store.tile_cols() {
+                        let (rs, cs) = store.tile_span(ti, tj);
+                        let tin = store.input(ti, tj);
+                        let want_dv: Vec<u8> = rs
+                            .clone()
+                            .map(|i| if cs.start == 0 { left[i] } else { oracle.dv(i, cs.start - 1) })
+                            .collect();
+                        let want_dh: Vec<u8> = cs
+                            .clone()
+                            .map(|j| if rs.start == 0 { top[j] } else { oracle.dh(rs.start - 1, j) })
+                            .collect();
+                        prop_assert_eq!(tin.dv_left, want_dv, "{cfg} tile ({ti}, {tj}) Δv′-left");
+                        prop_assert_eq!(tin.dh_top, want_dh, "{cfg} tile ({ti}, {tj}) Δh′-top");
+                    }
+                }
+            }
+        }
     }
 }

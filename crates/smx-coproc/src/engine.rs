@@ -2,10 +2,19 @@
 //! `VL × VL` DP-tile per cycle, with per-EW geometry (32×32, 16×16,
 //! 10×10, 8×8) and the pipeline depths of the 1 GHz design point.
 
-use crate::tile::{TileInput, TileOutput};
+use crate::tile::MAX_VL;
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme};
-use smx_diffenc::delta::DeltaBlock;
 use smx_isa::config::SmxConfig;
+
+/// Shifted substitution scores `S′ = S − I − D`, tabulated once per
+/// engine so the tile kernel never re-derives them per cell.
+#[derive(Debug, Clone)]
+enum ShiftedScores {
+    /// Edit and linear schemes: `S′` depends only on whether codes match.
+    Uniform { hit: u8, miss: u8 },
+    /// Substitution matrix over the 26 protein codes.
+    Matrix(Box<[[u8; 26]; 26]>),
+}
 
 /// Functional model of the SMX-engine compute array.
 ///
@@ -16,6 +25,7 @@ use smx_isa::config::SmxConfig;
 pub struct SmxEngine {
     ew: ElementWidth,
     scheme: ScoringScheme,
+    scores: ShiftedScores,
 }
 
 impl SmxEngine {
@@ -27,7 +37,21 @@ impl SmxEngine {
     /// non-encodable scheme).
     pub fn new(ew: ElementWidth, scheme: &ScoringScheme) -> Result<SmxEngine, AlignError> {
         let _ = SmxConfig::from_scheme(ew, scheme)?;
-        Ok(SmxEngine { ew, scheme: scheme.clone() })
+        // Validated above: every S′ lies in [0, theta] and theta fits EW.
+        let shifted = |a: u8, b: u8| scheme.shifted_score(a, b) as u8;
+        let scores = match scheme {
+            ScoringScheme::Matrix { .. } => {
+                let mut table = Box::new([[0u8; 26]; 26]);
+                for (a, row) in (0u8..).zip(table.iter_mut()) {
+                    for (b, s) in (0u8..).zip(row.iter_mut()) {
+                        *s = shifted(a, b);
+                    }
+                }
+                ShiftedScores::Matrix(table)
+            }
+            _ => ShiftedScores::Uniform { hit: shifted(0, 0), miss: shifted(0, 1) },
+        };
+        Ok(SmxEngine { ew, scheme: scheme.clone(), scores })
     }
 
     /// The configured element width.
@@ -60,34 +84,65 @@ impl SmxEngine {
         (self.tile_dim() * self.tile_dim()) as u32
     }
 
-    /// Computes one tile's output borders.
+    /// Computes one tile's output borders in place: on entry `dv` holds
+    /// the Δv′ entering each row from the left and `dh` the Δh′ entering
+    /// each column from the top; on return they hold the Δv′ leaving on
+    /// the right and the Δh′ leaving at the bottom.
     ///
     /// # Errors
     ///
     /// Returns [`AlignError::Internal`] if the segment lengths disagree
-    /// with the input borders or exceed `VL`.
+    /// with the borders or exceed `VL`.
     pub fn compute_tile(
         &self,
         q_seg: &[u8],
         r_seg: &[u8],
-        input: &TileInput,
-    ) -> Result<TileOutput, AlignError> {
-        let blk = self.compute_tile_full(q_seg, r_seg, input)?;
-        Ok(TileOutput { dv_right: blk.right_dv(), dh_bottom: blk.bottom_dh() })
+        dv: &mut [u8],
+        dh: &mut [u8],
+    ) -> Result<(), AlignError> {
+        self.check_tile(q_seg, r_seg, dv.len(), dh.len())?;
+        self.sweep::<false>(q_seg, r_seg, dv, dh, &mut []);
+        Ok(())
     }
 
-    /// Computes one tile keeping the full interior (the traceback
-    /// recompute path).
+    /// Recomputes one tile's interior for the traceback: writes the Δv′
+    /// of local cell `(i, j)` to `interior[i * r_seg.len() + j]`, using
+    /// the same kernel as [`compute_tile`](Self::compute_tile).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SmxEngine::compute_tile`].
-    pub fn compute_tile_full(
+    /// Same conditions as [`compute_tile`](Self::compute_tile), and
+    /// [`AlignError::Internal`] if `interior` cannot hold the tile.
+    pub fn recompute_tile(
         &self,
         q_seg: &[u8],
         r_seg: &[u8],
-        input: &TileInput,
-    ) -> Result<DeltaBlock, AlignError> {
+        dv_left: &[u8],
+        dh_top: &[u8],
+        interior: &mut [u8],
+    ) -> Result<(), AlignError> {
+        self.check_tile(q_seg, r_seg, dv_left.len(), dh_top.len())?;
+        let (rows, cols) = (q_seg.len(), r_seg.len());
+        if interior.len() < rows * cols {
+            return Err(AlignError::Internal(format!(
+                "tile interior scratch {} < {rows}x{cols}",
+                interior.len()
+            )));
+        }
+        let (mut dv, mut dh) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+        dv[..rows].copy_from_slice(dv_left);
+        dh[..cols].copy_from_slice(dh_top);
+        self.sweep::<true>(q_seg, r_seg, &mut dv[..rows], &mut dh[..cols], interior);
+        Ok(())
+    }
+
+    fn check_tile(
+        &self,
+        q_seg: &[u8],
+        r_seg: &[u8],
+        rows: usize,
+        cols: usize,
+    ) -> Result<(), AlignError> {
         let vl = self.tile_dim();
         if q_seg.len() > vl || r_seg.len() > vl {
             return Err(AlignError::Internal(format!(
@@ -96,23 +151,82 @@ impl SmxEngine {
                 r_seg.len()
             )));
         }
-        if input.rows() != q_seg.len() || input.cols() != r_seg.len() {
+        if rows != q_seg.len() || cols != r_seg.len() {
             return Err(AlignError::Internal(format!(
-                "tile borders ({}, {}) do not match segments ({}, {})",
-                input.rows(),
-                input.cols(),
+                "tile borders ({rows}, {cols}) do not match segments ({}, {})",
                 q_seg.len(),
                 r_seg.len()
             )));
         }
-        DeltaBlock::compute(self.ew, q_seg, r_seg, &self.scheme, &input.dh_top, &input.dv_left)
+        Ok(())
+    }
+
+    fn sweep<const KEEP: bool>(
+        &self,
+        q_seg: &[u8],
+        r_seg: &[u8],
+        dv: &mut [u8],
+        dh: &mut [u8],
+        interior: &mut [u8],
+    ) {
+        match &self.scores {
+            ShiftedScores::Uniform { hit, miss } => {
+                let (hit, miss) = (*hit, *miss);
+                sweep::<KEEP>(
+                    q_seg,
+                    r_seg,
+                    dv,
+                    dh,
+                    interior,
+                    |a, b| if a == b { hit } else { miss },
+                );
+            }
+            ShiftedScores::Matrix(table) => {
+                sweep::<KEEP>(q_seg, r_seg, dv, dh, interior, |a, b| {
+                    table[usize::from(a)][usize::from(b)]
+                });
+            }
+        }
+    }
+}
+
+/// The tile kernel: a row-major sweep of the saturating PE form
+/// `Δv′ = sat_sub(max(S′, Δv′), Δh′)`, `Δh′ = sat_sub(max(S′, Δh′), Δv′)`,
+/// which equals `pe_reference` (and so `pe_exact`) on every in-range
+/// input. Δv′ flows right along a row in a register; Δh′ flows down each
+/// column through `dh`. With `KEEP`, every cell's Δv′ also lands in
+/// `interior` (row stride `r_seg.len()`).
+#[inline(always)]
+fn sweep<const KEEP: bool>(
+    q_seg: &[u8],
+    r_seg: &[u8],
+    dv: &mut [u8],
+    dh: &mut [u8],
+    interior: &mut [u8],
+    score: impl Fn(u8, u8) -> u8,
+) {
+    let cols = r_seg.len();
+    for (i, (&qc, dv_row)) in q_seg.iter().zip(dv.iter_mut()).enumerate() {
+        let mut v = *dv_row;
+        for (j, (&rc, h)) in r_seg.iter().zip(dh.iter_mut()).enumerate() {
+            let s = score(qc, rc);
+            let v_out = s.max(v).saturating_sub(*h);
+            *h = s.max(*h).saturating_sub(v);
+            v = v_out;
+            if KEEP {
+                interior[i * cols + j] = v;
+            }
+        }
+        *dv_row = v;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smx_align_core::{dp, AlignmentConfig};
+    use smx_diffenc::delta::DeltaBlock;
 
     fn engine(cfg: AlignmentConfig) -> SmxEngine {
         SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap()
@@ -132,11 +246,12 @@ mod tests {
         let e = engine(cfg);
         let q: Vec<u8> = (0..32).map(|i| (i % 4) as u8).collect();
         let r: Vec<u8> = (0..32).map(|i| (i % 3) as u8).collect();
-        let out = e.compute_tile(&q, &r, &TileInput::fresh(32, 32)).unwrap();
+        let (mut dv, mut dh) = ([0u8; 32], [0u8; 32]);
+        e.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
         let scheme = cfg.scoring();
         // Reconstruct score from borders and compare to golden.
         let score: i32 = r.len() as i32 * scheme.gap_delete()
-            + out.dv_right.iter().map(|&d| i32::from(d) + scheme.gap_insert()).sum::<i32>();
+            + dv.iter().map(|&d| i32::from(d) + scheme.gap_insert()).sum::<i32>();
         assert_eq!(score, dp::score_only(&q, &r, &scheme));
     }
 
@@ -145,9 +260,11 @@ mod tests {
         let e = engine(AlignmentConfig::Protein);
         let q = [7u8, 4, 0];
         let r = [15u8, 0];
-        let out = e.compute_tile(&q, &r, &TileInput::fresh(3, 2)).unwrap();
-        assert_eq!(out.dv_right.len(), 3);
-        assert_eq!(out.dh_bottom.len(), 2);
+        let (mut dv, mut dh) = ([0u8; 3], [0u8; 2]);
+        e.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
+        let blk = DeltaBlock::compute(e.ew(), &q, &r, e.scheme(), &[0; 2], &[0; 3]).unwrap();
+        assert_eq!(dv.to_vec(), blk.right_dv());
+        assert_eq!(dh.to_vec(), blk.bottom_dh());
     }
 
     #[test]
@@ -155,7 +272,10 @@ mod tests {
         let e = engine(AlignmentConfig::Ascii); // VL = 8
         let q = vec![0u8; 9];
         let r = vec![0u8; 8];
-        assert!(e.compute_tile(&q, &r, &TileInput::fresh(9, 8)).is_err());
+        let (mut dv, mut dh) = (vec![0u8; 9], vec![0u8; 8]);
+        assert!(e.compute_tile(&q, &r, &mut dv, &mut dh).is_err());
+        let mut interior = vec![0u8; 72];
+        assert!(e.recompute_tile(&q, &r, &dv, &dh, &mut interior).is_err());
     }
 
     #[test]
@@ -163,6 +283,51 @@ mod tests {
         let e = engine(AlignmentConfig::DnaEdit);
         let q = vec![0u8; 4];
         let r = vec![0u8; 4];
-        assert!(e.compute_tile(&q, &r, &TileInput::fresh(3, 4)).is_err());
+        let (mut dv, mut dh) = (vec![0u8; 3], vec![0u8; 4]);
+        assert!(e.compute_tile(&q, &r, &mut dv, &mut dh).is_err());
+        let mut small = [0u8; 15];
+        assert!(e.recompute_tile(&q, &r, &[0; 4], &dh, &mut small).is_err(), "scratch too small");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The in-place kernel's output borders and the traceback
+        /// recompute's interior equal the bit-exact `pe_exact` oracle, for
+        /// every config, full and partial tiles, and borders drawn over
+        /// the whole EW-bit range.
+        #[test]
+        fn kernel_matches_pe_exact_oracle(
+            rows in 1usize..=32,
+            cols in 1usize..=32,
+            codes in proptest::collection::vec(0u8..=255, 64),
+            borders in proptest::collection::vec(0u8..=255, 64),
+        ) {
+            for cfg in AlignmentConfig::ALL {
+                let e = engine(cfg);
+                let vl = e.tile_dim();
+                let (rows, cols) = (1 + (rows - 1) % vl, 1 + (cols - 1) % vl);
+                let card = cfg.alphabet().cardinality() as u8;
+                let lane = e.ew().max_value() as u8;
+                let q: Vec<u8> = codes[..rows].iter().map(|c| c % card).collect();
+                let r: Vec<u8> = codes[32..32 + cols].iter().map(|c| c % card).collect();
+                let dv_left: Vec<u8> = borders[..rows].iter().map(|b| b & lane).collect();
+                let dh_top: Vec<u8> = borders[32..32 + cols].iter().map(|b| b & lane).collect();
+                let oracle =
+                    DeltaBlock::compute(e.ew(), &q, &r, e.scheme(), &dh_top, &dv_left).unwrap();
+
+                let (mut dv, mut dh) = (dv_left.clone(), dh_top.clone());
+                e.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
+                prop_assert_eq!(dv, oracle.right_dv(), "{cfg} {rows}x{cols}: right Δv′");
+                prop_assert_eq!(dh, oracle.bottom_dh(), "{cfg} {rows}x{cols}: bottom Δh′");
+
+                let mut interior = [0u8; MAX_VL * MAX_VL];
+                e.recompute_tile(&q, &r, &dv_left, &dh_top, &mut interior).unwrap();
+                for i in 0..rows {
+                    for j in 0..cols {
+                        prop_assert_eq!(interior[i * cols + j], oracle.dv(i, j), "{cfg} ({i}, {j})");
+                    }
+                }
+            }
+        }
     }
 }

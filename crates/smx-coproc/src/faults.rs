@@ -28,7 +28,7 @@
 use std::fmt;
 
 use crate::engine::SmxEngine;
-use crate::tile::{TileInput, TileOutput};
+use crate::tile::MAX_VL;
 use smx_align_core::{AlignError, Alignment, Cigar, Op};
 
 /// The failure modes the plan can inject.
@@ -563,6 +563,11 @@ impl FaultSession {
     /// at the engine output, transfer (where corruption strikes), verify,
     /// and retry or fall back per the policy.
     ///
+    /// Like [`SmxEngine::compute_tile`], `dv`/`dh` carry the tile's input
+    /// borders in and its verified output borders out. The inputs are
+    /// kept in fixed scratch until the tile is accepted, so every retry
+    /// and the fallback recompute from the original borders.
+    ///
     /// # Errors
     ///
     /// Propagates engine errors; returns [`AlignError::RecoveryExhausted`]
@@ -573,25 +578,39 @@ impl FaultSession {
         engine: &SmxEngine,
         q_seg: &[u8],
         r_seg: &[u8],
-        input: &TileInput,
+        dv: &mut [u8],
+        dh: &mut [u8],
         epoch: u64,
         ti: usize,
         tj: usize,
-    ) -> Result<TileOutput, AlignError> {
+    ) -> Result<(), AlignError> {
+        let (rows, cols) = (dv.len(), dh.len());
+        if rows > MAX_VL || cols > MAX_VL {
+            return Err(AlignError::Internal(format!(
+                "tile borders ({rows}, {cols}) exceed {MAX_VL}"
+            )));
+        }
         self.stats.tiles_computed += 1;
         let latency = Self::tile_latency(engine);
+        let (mut dv_in, mut dh_in) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+        dv_in[..rows].copy_from_slice(&dv[..rows]);
+        dh_in[..cols].copy_from_slice(&dh[..cols]);
         let mut attempt: u32 = 0;
         loop {
+            if attempt > 0 {
+                dv[..rows].copy_from_slice(&dv_in[..rows]);
+                dh[..cols].copy_from_slice(&dh_in[..cols]);
+            }
             let kind = match self.plan.draw(epoch, ti, tj, attempt) {
                 None => {
                     // Fault-free attempt: compute, checksum at the source,
                     // verify after the (clean) transfer.
-                    let out = engine.compute_tile(q_seg, r_seg, input)?;
+                    engine.compute_tile(q_seg, r_seg, dv, dh)?;
                     self.cycle += latency;
-                    let source = border_checksum(&out.dv_right, &out.dh_bottom);
-                    let received = border_checksum(&out.dv_right, &out.dh_bottom);
+                    let source = border_checksum(dv, dh);
+                    let received = border_checksum(dv, dh);
                     debug_assert_eq!(source, received);
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(kind) => kind,
             };
@@ -603,11 +622,11 @@ impl FaultSession {
                     self.stats.cycles_lost += self.policy.watchdog_cycles;
                 }
                 FaultKind::BorderCorrupt | FaultKind::L2BitFlip => {
-                    let mut out = engine.compute_tile(q_seg, r_seg, input)?;
-                    let source = border_checksum(&out.dv_right, &out.dh_bottom);
+                    engine.compute_tile(q_seg, r_seg, dv, dh)?;
+                    let source = border_checksum(dv, dh);
                     let h = self.plan.hash(epoch, ti, tj, SALT_CORRUPT ^ u64::from(attempt));
-                    corrupt_borders(&mut out.dv_right, &mut out.dh_bottom, kind, h);
-                    let received = border_checksum(&out.dv_right, &out.dh_bottom);
+                    corrupt_borders(dv, dh, kind, h);
+                    let received = border_checksum(dv, dh);
                     if received == source {
                         // Unreachable with the corruptions above; a passing
                         // checksum on corrupted data would be silent
@@ -627,15 +646,19 @@ impl FaultSession {
                 s.stats.fallbacks += 1;
             })?;
             if attempt == u32::MAX {
-                return engine.compute_tile(q_seg, r_seg, input);
+                dv[..rows].copy_from_slice(&dv_in[..rows]);
+                dh[..cols].copy_from_slice(&dh_in[..cols]);
+                return engine.compute_tile(q_seg, r_seg, dv, dh);
             }
         }
     }
 
     /// Re-reads a stored tile input border through the (possibly faulty)
     /// L2 port, verifying it against the checksum recorded when the
-    /// worker stored it. The fallback path re-fetches through the core's
-    /// coherent load path, which bypasses the L2 fault site.
+    /// worker stored it. Corruption strikes a scratch copy of the
+    /// unpacked borders; a fetch that returns `Ok` delivered exactly
+    /// `dv_left`/`dh_top`. The fallback path re-fetches through the
+    /// core's coherent load path, which bypasses the L2 fault site.
     ///
     /// # Errors
     ///
@@ -646,17 +669,22 @@ impl FaultSession {
         epoch: u64,
         ti: usize,
         tj: usize,
-        stored: &TileInput,
-    ) -> Result<TileInput, AlignError> {
-        let source = border_checksum(&stored.dv_left, &stored.dh_top);
+        dv_left: &[u8],
+        dh_top: &[u8],
+    ) -> Result<(), AlignError> {
+        let (rows, cols) = (dv_left.len(), dh_top.len());
+        if rows > MAX_VL || cols > MAX_VL {
+            return Err(AlignError::Internal(format!(
+                "tile borders ({rows}, {cols}) exceed {MAX_VL}"
+            )));
+        }
+        let source = border_checksum(dv_left, dh_top);
         let mut attempt: u32 = 0;
         loop {
             let kind = match self.plan.draw(epoch, ti, tj, attempt) {
                 None => {
-                    let fetched = stored.clone();
                     self.cycle += 1;
-                    debug_assert_eq!(border_checksum(&fetched.dv_left, &fetched.dh_top), source);
-                    return Ok(fetched);
+                    return Ok(());
                 }
                 Some(kind) => kind,
             };
@@ -668,10 +696,12 @@ impl FaultSession {
                     self.stats.cycles_lost += self.policy.watchdog_cycles;
                 }
                 FaultKind::BorderCorrupt | FaultKind::L2BitFlip => {
-                    let mut fetched = stored.clone();
+                    let (mut dv, mut dh) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+                    dv[..rows].copy_from_slice(&dv_left[..rows]);
+                    dh[..cols].copy_from_slice(&dh_top[..cols]);
                     let h = self.plan.hash(epoch, ti, tj, SALT_CORRUPT ^ u64::from(attempt));
-                    corrupt_borders(&mut fetched.dv_left, &mut fetched.dh_top, kind, h);
-                    if border_checksum(&fetched.dv_left, &fetched.dh_top) == source {
+                    corrupt_borders(&mut dv[..rows], &mut dh[..cols], kind, h);
+                    if border_checksum(&dv[..rows], &dh[..cols]) == source {
                         return Err(AlignError::Internal(format!(
                             "corrupted border read ({ti}, {tj}) passed its checksum"
                         )));
@@ -685,7 +715,7 @@ impl FaultSession {
                 s.stats.fallbacks += 1;
             })?;
             if attempt == u32::MAX {
-                return Ok(stored.clone());
+                return Ok(());
             }
         }
     }
@@ -821,19 +851,26 @@ mod tests {
         }
     }
 
+    /// A fresh `rows × cols` tile's clean output borders.
+    fn clean_tile(engine: &SmxEngine, q: &[u8], r: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let (mut dv, mut dh) = (vec![0u8; q.len()], vec![0u8; r.len()]);
+        engine.compute_tile(q, r, &mut dv, &mut dh).unwrap();
+        (dv, dh)
+    }
+
     #[test]
     fn run_tile_recovers_bit_exact_output() {
         let cfg = AlignmentConfig::DnaGap;
         let engine = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
         let q: Vec<u8> = (0..16).map(|i| (i % 4) as u8).collect();
         let r: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
-        let tin = TileInput::fresh(16, 16);
-        let clean = engine.compute_tile(&q, &r, &tin).unwrap();
+        let clean = clean_tile(&engine, &q, &r);
         // Force the fault to fire every attempt so the fallback engages.
         let plan = FaultPlan::new(11, 1.0).with_persistence(1.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::default());
-        let out = session.run_tile(&engine, &q, &r, &tin, 1, 0, 0).unwrap();
-        assert_eq!(out, clean);
+        let (mut dv, mut dh) = (vec![0u8; 16], vec![0u8; 16]);
+        session.run_tile(&engine, &q, &r, &mut dv, &mut dh, 1, 0, 0).unwrap();
+        assert_eq!((dv, dh), clean);
         let stats = session.stats();
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.retries, u64::from(RecoveryPolicy::default().max_retries));
@@ -847,22 +884,24 @@ mod tests {
         let cfg = AlignmentConfig::DnaGap;
         let engine = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
         let q = vec![0u8; 8];
-        let tin = TileInput::fresh(8, 8);
+        let (mut dv, mut dh) = ([0u8; 8], [0u8; 8]);
         let plan = FaultPlan::new(5, 1.0).with_persistence(1.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::strict());
-        let err = session.run_tile(&engine, &q, &q, &tin, 1, 2, 3).unwrap_err();
+        let err = session.run_tile(&engine, &q, &q, &mut dv, &mut dh, 1, 2, 3).unwrap_err();
         assert!(matches!(err, AlignError::RecoveryExhausted { ti: 2, tj: 3, .. }));
         assert!(err.is_recoverable_fault());
     }
 
     #[test]
     fn fetch_input_recovers_stored_borders() {
-        let stored = TileInput { dv_left: vec![1, 2, 3, 4], dh_top: vec![5, 6, 7] };
         let plan = FaultPlan::new(21, 1.0).with_persistence(1.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::default());
-        let fetched = session.fetch_input(1, 0, 0, &stored).unwrap();
-        assert_eq!(fetched, stored);
-        assert!(session.stats().invariants_hold());
+        session.fetch_input(1, 0, 0, &[1, 2, 3, 4], &[5, 6, 7]).unwrap();
+        let stats = session.stats();
+        assert!(stats.invariants_hold());
+        assert_eq!(stats.fallbacks, 1, "every read faulted, so the coherent path served it");
+        let oversized = [0u8; MAX_VL + 1];
+        assert!(session.fetch_input(1, 0, 0, &oversized, &[]).is_err());
     }
 
     #[test]
@@ -870,16 +909,22 @@ mod tests {
         let cfg = AlignmentConfig::DnaGap;
         let engine = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
         let q = vec![0u8; 8];
-        let tin = TileInput::fresh(8, 8);
-        let clean = engine.compute_tile(&q, &q, &tin).unwrap();
+        // Non-zero inputs: the retry must start again from these, not from
+        // the faulted attempt's outputs.
+        let (dv_in, dh_in) = ([3u8, 0, 7, 10, 1, 0, 2, 9], [0u8, 4, 10, 2, 6, 1, 0, 8]);
+        let (mut want_dv, mut want_dh) = (dv_in, dh_in);
+        engine.compute_tile(&q, &q, &mut want_dv, &mut want_dh).unwrap();
         // Fires on attempt 0, never persists: one retry suffices.
-        let plan = FaultPlan::new(13, 1.0).with_persistence(0.0);
-        let mut session = FaultSession::new(plan, RecoveryPolicy::default());
-        let out = session.run_tile(&engine, &q, &q, &tin, 1, 0, 0).unwrap();
-        assert_eq!(out, clean);
-        let stats = session.stats();
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.fallbacks, 0);
+        for seed in [13, 14, 15] {
+            let plan = FaultPlan::new(seed, 1.0).with_persistence(0.0);
+            let mut session = FaultSession::new(plan, RecoveryPolicy::default());
+            let (mut dv, mut dh) = (dv_in, dh_in);
+            session.run_tile(&engine, &q, &q, &mut dv, &mut dh, 1, 0, 0).unwrap();
+            assert_eq!((dv, dh), (want_dv, want_dh), "seed {seed}");
+            let stats = session.stats();
+            assert_eq!(stats.retries, 1);
+            assert_eq!(stats.fallbacks, 0);
+        }
     }
 
     #[test]

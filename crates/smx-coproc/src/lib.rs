@@ -42,5 +42,5 @@ pub use control::CancelToken;
 pub use coproc::SmxCoprocessor;
 pub use engine::SmxEngine;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSession, RecoveryPolicy, RecoveryStats};
-pub use tile::{TileInput, TileOutput};
+pub use tile::TileInput;
 pub use worker::TransferStats;

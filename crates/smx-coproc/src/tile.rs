@@ -4,8 +4,15 @@
 //! are the Δv′ values entering from the left and the Δh′ values entering
 //! from the top, and whose outputs are the Δv′ leaving on the right and
 //! the Δh′ leaving at the bottom — the `ΔV′`/`ΔH′` vectors of Fig. 6.
+//! The engine computes the outputs in place over the inputs
+//! ([`crate::SmxEngine::compute_tile`]).
 
-/// Input borders of a tile in shifted differential form.
+/// The widest tile side of any element width (`VL` at EW = 2): the size
+/// of the fixed per-tile scratch the sweep and the traceback use.
+pub const MAX_VL: usize = 32;
+
+/// Input borders of a tile in shifted differential form, unpacked from
+/// the border store ([`crate::TileBorderStore::input`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TileInput {
     /// Δv′ entering each row from the left (length = tile rows).
@@ -34,18 +41,10 @@ impl TileInput {
     }
 }
 
-/// Output borders of a tile.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TileOutput {
-    /// Δv′ leaving each row on the right (length = tile rows).
-    pub dv_right: Vec<u8>,
-    /// Δh′ leaving each column at the bottom (length = tile cols).
-    pub dh_bottom: Vec<u8>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smx_align_core::ElementWidth;
 
     #[test]
     fn fresh_dimensions() {
@@ -53,5 +52,10 @@ mod tests {
         assert_eq!(t.rows(), 10);
         assert_eq!(t.cols(), 7);
         assert!(t.dv_left.iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn max_vl_covers_every_width() {
+        assert_eq!(ElementWidth::ALL.iter().map(|ew| ew.vl()).max(), Some(MAX_VL));
     }
 }

@@ -5,13 +5,15 @@
 //! tiles the optimal path crosses (green tiles in Fig. 8a) and skipping
 //! the rest. Each recomputed tile is converted to absolute scores using
 //! its stored corner anchor, then walked with the global tie-break
-//! (diagonal ≻ insert ≻ delete).
+//! (diagonal ≻ insert ≻ delete). The unpacked borders, the recomputed
+//! interior and the absolute tile live in fixed `VL × VL` scratch reused
+//! across tiles, so the walk allocates only the CIGAR.
 
 use crate::block::TileBorderStore;
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
-use crate::tile::TileInput;
+use crate::tile::MAX_VL;
 use smx_align_core::{AlignError, Cigar, Op};
 
 /// Work performed by a traceback (for Fig. 2's cells-computed accounting
@@ -100,7 +102,7 @@ fn traceback_block_inner(
             reference.len()
         )));
     }
-    let scheme = engine.scheme().clone();
+    let scheme = engine.scheme();
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let vl = store.vl();
     let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
@@ -108,6 +110,9 @@ fn traceback_block_inner(
     let mut cigar = Cigar::new();
     let mut gi_pos = m; // global row (cells consumed from query)
     let mut gj_pos = n; // global column
+    let (mut dv_buf, mut dh_buf) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+    let mut interior = [0u8; MAX_VL * MAX_VL];
+    let mut abs = [0i32; (MAX_VL + 1) * (MAX_VL + 1)];
 
     while gi_pos > 0 || gj_pos > 0 {
         if gi_pos == 0 {
@@ -128,35 +133,29 @@ fn traceback_block_inner(
         let tj = (gj_pos - 1) / vl;
         let (rspan, cspan) = store.tile_span(ti, tj);
         let (rows, cols) = (rspan.len(), cspan.len());
-        let fetched: TileInput;
-        let tin: &TileInput = match session.as_mut() {
-            Some(s) => {
-                fetched = s.fetch_input(epoch, ti, tj, store.input(ti, tj))?;
-                &fetched
-            }
-            None => store.input(ti, tj),
-        };
+        let (dv_left, dh_top) = (&mut dv_buf[..rows], &mut dh_buf[..cols]);
+        store.unpack_input(ti, tj, dv_left, dh_top);
+        if let Some(s) = session.as_mut() {
+            s.fetch_input(epoch, ti, tj, dv_left, dh_top)?;
+        }
         let q_seg = &query[rspan.clone()];
         let r_seg = &reference[cspan.clone()];
-        let blk = engine.compute_tile_full(q_seg, r_seg, tin)?;
+        engine.recompute_tile(q_seg, r_seg, dv_left, dh_top, &mut interior)?;
         stats.tiles += 1;
         stats.elements += (rows * cols) as u64;
 
         // Absolute tile matrix (rows+1) x (cols+1) anchored at the tile's
         // top-left corner.
-        let anchor = store.anchor(ti, tj);
-        let mut abs = vec![0i32; (rows + 1) * (cols + 1)];
         let at = |i: usize, j: usize| i * (cols + 1) + j;
-        abs[at(0, 0)] = anchor;
+        abs[at(0, 0)] = store.anchor(ti, tj);
         for j in 1..=cols {
-            abs[at(0, j)] = abs[at(0, j - 1)] + i32::from(tin.dh_top[j - 1]) + gd;
+            abs[at(0, j)] = abs[at(0, j - 1)] + i32::from(dh_top[j - 1]) + gd;
         }
         for i in 1..=rows {
-            abs[at(i, 0)] = abs[at(i - 1, 0)] + i32::from(tin.dv_left[i - 1]) + gi;
-        }
-        for j in 1..=cols {
-            for i in 1..=rows {
-                abs[at(i, j)] = abs[at(i - 1, j)] + i32::from(blk.dv(i - 1, j - 1)) + gi;
+            abs[at(i, 0)] = abs[at(i - 1, 0)] + i32::from(dv_left[i - 1]) + gi;
+            for j in 1..=cols {
+                abs[at(i, j)] =
+                    abs[at(i - 1, j)] + i32::from(interior[(i - 1) * cols + j - 1]) + gi;
             }
         }
 
